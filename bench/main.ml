@@ -55,9 +55,9 @@ let prop1 () =
 
 let durability_matrix () =
   hr "E7: durability matrix (12 seeds each; fails/seeds)";
-  let crash_spec ~machine seed : Harness.Workload.crash_spec =
+  let crash_spec ~machine seed : Harness.Runcore.crash_spec =
     {
-      Harness.Workload.at = 15 + (seed mod 17);
+      Harness.Runcore.at = 15 + (seed mod 17);
       machine;
       restart_at = 22 + (seed mod 17);
       recovery_threads = 1;
@@ -399,9 +399,7 @@ let e13_topology () =
    The default domain (3 machines / 3 locations / 2 values — 27 000
    start configurations) takes the reference engine a long time by
    design, so the oracle leg only runs on the 2-location (900
-   configuration) [--small] domain used by smoke runs and CI.
-   [--append] appends the JSON line instead of rewriting the file (CI
-   keeps a timing history that way). *)
+   configuration) [--small] domain used by smoke runs and CI. *)
 let prop1_time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -418,7 +416,7 @@ let prop1_json ~append line =
   close_out oc;
   Fmt.pr "  %s BENCH_prop1.json@." (if append then "appended to" else "wrote")
 
-let prop1_bench ~small ~append ~jobs () =
+let prop1_bench ~small ~jobs () =
   let n = 3 in
   let sys = Cxl0.Machine.uniform n in
   let locs = List.init (if small then 2 else 3) (fun i -> Cxl0.Loc.v ~owner:i 0) in
@@ -486,7 +484,7 @@ let prop1_bench ~small ~append ~jobs () =
     (float ustats.Cxl0.Props.sweep_states
     /. float (max 1 rstats.Cxl0.Props.sweep_states))
     (seconds_unred /. seconds_red);
-  prop1_json ~append
+  prop1_json ~append:false
     (Printf.sprintf
        "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
         \"seconds_reduced\": %.3f, \"seconds_unreduced\": %.3f%s, \
@@ -581,7 +579,7 @@ let bechamel_tests =
                Harness.Workload.crashes =
                  [
                    {
-                     Harness.Workload.at = 20;
+                     Harness.Runcore.at = 20;
                      machine = 0;
                      restart_at = 26;
                      recovery_threads = 1;
@@ -643,8 +641,7 @@ let () =
   in
   if List.mem "--prop1-bench" argv then begin
     let small = List.mem "--small" argv in
-    let append = List.mem "--append" argv in
-    prop1_bench ~small ~append ~jobs ();
+    prop1_bench ~small ~jobs ();
     exit 0
   end;
   if List.mem "--n4" argv then begin

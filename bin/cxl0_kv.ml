@@ -85,8 +85,8 @@ let op_names = [| "read"; "update"; "insert" |]
    of these lines; any nondeterminism anywhere in the serving stack
    (schedule generation, shard mapping, scheduler, fault plan) shows.
    With a tracer attached the span digest folds in, so span assembly is
-   covered by the same run-twice and cross-jobs diffs; untraced
-   signature lines are byte-identical to previous releases. *)
+   covered by the same run-twice diffs; untraced signature lines are
+   byte-identical to previous releases. *)
 let signature transform mix ?spans (r : K.serve_result) =
   Printf.sprintf
     "kv %s mix=%s served=%d/%d/%d faulted=%d timed_out=%d dropped=%d \
@@ -157,8 +157,8 @@ let print_combo transform mix (r : K.serve_result) =
     r.K.latencies
 
 let run sessions ops rate theta keys mixes transforms shards servers machines
-    replicas deadline storm jobs seed crash faults check sig_only trace json
-    append label explain_tail timeline window trace_out =
+    replicas deadline storm seed crash faults check sig_only trace json label
+    explain_tail timeline window trace_out =
   (* typed argument validation, exit 2 with the offending field named;
      the traffic fields share Traffic.validate with the library so the
      CLI and Kv.serve reject with the same message *)
@@ -235,7 +235,8 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
       shards;
       servers_per_machine = servers;
       replicas;
-      deadline }
+      deadline;
+      record_history = check }
   in
   if trace_out <> None && List.length transforms * List.length mixes > 1 then
     reject "--trace-out needs exactly one transform x mix combo";
@@ -270,7 +271,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
               else None
             in
             let t0 = Unix.gettimeofday () in
-            let r = K.serve ?tracer ~jobs c in
+            let r = K.serve ?tracer c in
             let seconds = Unix.gettimeofday () -. t0 in
             Option.iter
               (fun t ->
@@ -309,7 +310,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
                   tracer
             | None -> ());
             if check then begin
-              let v = K.check ~jobs c in
+              let v = K.check c r in
               match v.Lincheck.Durable.skipped with
               | Some _ ->
                   (* undecided, not refuted: the bitmask search tops out
@@ -331,9 +332,6 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   if trace && not sig_only then
     Fmt.pr "@.merged fabric-wide report (all combos):@.%a@." Obs.Report.pp
       merged_report;
-  let total_seconds =
-    List.fold_left (fun a (_, _, _, s) -> a +. s) 0.0 results
-  in
   (match json with
   | None -> ()
   | Some file ->
@@ -371,32 +369,6 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
               !series_acc));
       close_out oc;
       Fmt.epr "wrote %s@." file);
-  (match append with
-  | None -> ()
-  | Some file ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-      let offered = List.length results * sessions * ops in
-      let served_all =
-        List.fold_left (fun a (_, _, r, _) -> a + total_served r) 0 results
-      in
-      (* aggregate latency shape over every op type and combo;
-         schema-additive fields so older history lines parse unchanged *)
-      let lat_all = Obs.Hist.create () in
-      List.iter
-        (fun (_, _, r, _) ->
-          Array.iter (fun h -> Obs.Hist.merge ~into:lat_all h) r.K.latencies)
-        results;
-      Printf.fprintf oc
-        "{ \"label\": %S, \"seed\": %d, \"combos\": %d, \"replicas\": %d, \
-         \"storm\": %d, \"ops\": %d, \"availability\": %.4f, \"lat_n\": %d, \
-         \"lat_mean\": %.1f, \"lat_p50\": %d, \"lat_p99\": %d, \"seconds\": \
-         %.3f }\n"
-        label seed (List.length results) replicas storm served_all
-        (if offered = 0 then 0.0
-         else float_of_int served_all /. float_of_int offered)
-        (Obs.Hist.count lat_all) (Obs.Hist.mean lat_all)
-        (Obs.Hist.p50 lat_all) (Obs.Hist.p99 lat_all) total_seconds;
-      close_out oc);
   if !failures > 0 then 1 else 0
 
 let sessions =
@@ -484,14 +456,6 @@ let storm =
            --replicas 2 every cycle is a survivable shard-home crash; \
            --check proves acknowledged writes outlived it.")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"J"
-        ~doc:
-          "Domains for schedule pregeneration; never changes the \
-           schedule (byte-identical for every value).")
-
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Run seed.")
 
 let crash =
@@ -516,9 +480,9 @@ let check =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Re-run each combo with history recording and run the \
-           durability checker against the map spec (keep the domain \
-           small: the checker is exponential).  Exit 1 on violation.")
+          "Record each combo's history and run the durability checker \
+           against the map spec on it (keep the domain small: the \
+           checker is exponential).  Exit 1 on violation.")
 
 let sig_only =
   Arg.(
@@ -542,13 +506,6 @@ let json =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the full sweep results as a JSON document to $(docv).")
-
-let append =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "append" ] ~docv:"FILE"
-        ~doc:"Append a one-line timing record to $(docv) (JSONL).")
 
 let label =
   Arg.(
@@ -600,8 +557,8 @@ let cmd =
          "Sharded durable KV serving under open-loop Zipfian traffic")
     Term.(
       const run $ sessions $ ops $ rate $ theta $ keys $ mix $ transform
-      $ shards $ servers $ machines $ replicas $ deadline $ storm $ jobs
-      $ seed $ crash $ faults $ check $ sig_only $ trace $ json $ append
-      $ label $ explain_tail $ timeline $ window $ trace_out)
+      $ shards $ servers $ machines $ replicas $ deadline $ storm $ seed
+      $ crash $ faults $ check $ sig_only $ trace $ json $ label
+      $ explain_tail $ timeline $ window $ trace_out)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,9 +8,9 @@
 
 open Cmdliner
 
-let crash_spec ~machine seed : Harness.Workload.crash_spec =
+let crash_spec ~machine seed : Harness.Runcore.crash_spec =
   {
-    Harness.Workload.at = 15 + (seed mod 17);
+    Harness.Runcore.at = 15 + (seed mod 17);
     machine;
     restart_at = 22 + (seed mod 17);
     recovery_threads = 1;
@@ -21,12 +21,12 @@ let crash_spec ~machine seed : Harness.Workload.crash_spec =
    config runs 3 machines with the object on machine 2, so the faulted
    link is worker<->home and poison lands on an allocated location.
    Everything varies only with [seed] — reruns are bit-identical. *)
-let fault_specs ~faults seed : Harness.Workload.fault_spec list =
+let fault_specs ~faults seed : Harness.Runcore.fault_spec list =
   match faults with
   | "none" -> []
   | "transient" ->
       [
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           {
             m1 = seed mod 2;
             m2 = 2;
@@ -37,7 +37,7 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
       ]
   | "degraded" ->
       [
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           {
             m1 = seed mod 2;
             m2 = 2;
@@ -45,7 +45,7 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
             delay_prob = 0.3;
             delay_cycles = 80;
           };
-        Harness.Workload.Down_link
+        Harness.Runcore.Down_link
           {
             m1 = (seed + 1) mod 2;
             m2 = 2;
@@ -56,7 +56,7 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
   | _ ->
       (* poison *)
       [
-        Harness.Workload.Poison_at
+        Harness.Runcore.Poison_at
           { at = 5 + (seed mod 23); loc_seed = seed };
       ]
 

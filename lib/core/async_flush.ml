@@ -67,12 +67,6 @@ type label =
   | Sfence of Machine.id
       (** barrier: block until machine's obligations are discharged *)
 
-let pp_label ppf = function
-  | Base l -> Label.pp ppf l
-  | Flush_opt (k, i, x) ->
-      Fmt.pf ppf "%aOpt_%d(%a)" Label.pp_flush_kind k (i + 1) Loc.pp x
-  | Sfence i -> Fmt.pf ppf "SFence_%d" (i + 1)
-
 (** [discharged sys cfg i] holds when every pending obligation of machine
     [i] satisfies its synchronous-flush precondition in [cfg.base]. *)
 let discharged sys cfg i =

@@ -23,18 +23,12 @@ type config = {
 
 val init : config
 
-val pending_of : config -> Machine.id -> Obset.t
-
-val compare_config : config -> config -> int
-
 module Cset : Set.S with type elt = config
 
 type label =
   | Base of Label.t
   | Flush_opt of Label.flush_kind * Machine.id * Loc.t
   | Sfence of Machine.id
-
-val pp_label : label Fmt.t
 
 val discharged : Machine.system -> config -> Machine.id -> bool
 (** Every pending obligation's precondition holds in [config.base]. *)

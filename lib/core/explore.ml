@@ -181,10 +181,6 @@ module Fast = struct
   let reduction cache = cache.reduction
   let stats cache = { states = cache.n_states; transitions = cache.n_transitions }
 
-  let reset_stats cache =
-    cache.n_states <- 0;
-    cache.n_transitions <- 0
-
   (** [sym_group cache ~fixing st] — the symmetry group a reduced run
       from [st] over the labels [fixing] may use: the stabilizer of
       both within the context group ([[||]] when [sym] is off).  Runs
@@ -335,8 +331,6 @@ module Fast = struct
       true
     with Exit -> false
 
-  let equal_sets a b = cardinal a = cardinal b && subset a b
-
   let elements (s : set) = Packed.Tbl.fold (fun st _ acc -> st :: acc) s []
 
   (** [diff_elements a b] — members of [a] not in [b] (unordered). *)
@@ -344,25 +338,6 @@ module Fast = struct
     Packed.Tbl.fold
       (fun st _ acc -> if Packed.Tbl.mem b st then acc else st :: acc)
       a []
-
-  (** [load_outcomes_closed cache s i x] — values the next load of [x]
-      by machine [i] can observe from members of the τ-closed set [s]
-      (the visible value of [x]: the shared cached value if any cache
-      holds it, the owner's memory otherwise).  Exact on sym-reduced
-      sets whenever the reducing group stabilises [x] — e.g. when [x]
-      occurs in the run's labels. *)
-  let load_outcomes_closed cache (s : set) _i x =
-    let xi = Packed.loc_index cache.ctx x in
-    Packed.Tbl.fold
-      (fun st _ acc ->
-        let w = st.(xi) in
-        let v =
-          if Packed.holders cache.ctx w <> 0 then Packed.cval cache.ctx w
-          else Packed.memv cache.ctx w
-        in
-        v :: acc)
-      s []
-    |> List.sort_uniq Value.compare
 
   (** [independent l1 l2] — the static independence relation the POR
       layer is built on: two labels commute (and never disable one

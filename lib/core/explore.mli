@@ -20,9 +20,6 @@ val tau_closure : Machine.system -> t -> t
 (** Closure under the two propagation rules; terminates (each step
     strictly decreases a multiset measure on cache entries). *)
 
-val apply_label : Machine.system -> t -> Label.t -> t
-(** Apply one visible label pointwise (no τ-saturation). *)
-
 val step : Machine.system -> t -> Label.t -> t
 (** τ* followed by the label. *)
 
@@ -33,12 +30,6 @@ val run : Machine.system -> Config.t -> Label.t list -> t
     the simulation checks).  Empty iff the sequence is infeasible. *)
 
 val feasible : Machine.system -> Config.t -> Label.t list -> bool
-
-val load_outcomes_closed :
-  Machine.system -> t -> Machine.id -> Loc.t -> Value.t list
-(** Like {!load_outcomes}, but the caller supplies an already τ-closed
-    set (a {!run} result, or an explicit {!tau_closure}) — the closure
-    is not recomputed. *)
 
 val load_outcomes : Machine.system -> t -> Machine.id -> Loc.t -> Value.t list
 (** The values the *next* load could observe from some configuration in
@@ -70,7 +61,7 @@ module Fast : sig
 
   type stats = { states : int; transitions : int }
   (** Cumulative work counters: reachable-set insertions and generated
-      τ-successors / applied labels since creation (or {!reset_stats}). *)
+      τ-successors / applied labels since creation. *)
 
   val create : ?reduction:reduction -> Packed.ctx -> cache
   (** Defaults to {!no_reduction}: this layer is also the differential
@@ -81,7 +72,6 @@ module Fast : sig
   val ctx : cache -> Packed.ctx
   val reduction : cache -> reduction
   val stats : cache -> stats
-  val reset_stats : cache -> unit
 
   val sym_group :
     cache -> fixing:Label.t list -> Packed.t -> Sym.perm array
@@ -94,13 +84,10 @@ module Fast : sig
   (** A reachable set of packed states (hash-set backed).  Under [sym]
       reduction, members are orbit representatives. *)
 
-  val of_packed : Packed.t -> set
-
   val tau_closure : ?group:Sym.perm array -> cache -> set -> set
   (** In-place worklist closure (the argument is grown and returned).
       [group] (default: none) canonicalises inserted states. *)
 
-  val apply_label : ?group:Sym.perm array -> cache -> set -> Label.t -> set
   val step : ?group:Sym.perm array -> cache -> set -> Label.t -> set
 
   val run : ?group:Sym.perm array -> cache -> Packed.t -> Label.t list -> set
@@ -112,17 +99,9 @@ module Fast : sig
   val is_empty : set -> bool
   val mem : set -> Packed.t -> bool
   val subset : set -> set -> bool
-  val equal_sets : set -> set -> bool
   val elements : set -> Packed.t list
   val diff_elements : set -> set -> Packed.t list
   (** Members of the first set absent from the second (unordered). *)
-
-  val load_outcomes_closed :
-    cache -> set -> Machine.id -> Loc.t -> Value.t list
-  (** Values the next load of the location can observe from members of
-      the (already τ-closed) set, sorted and deduplicated.  Exact on
-      sym-reduced sets whenever the reducing group stabilises the
-      location. *)
 
   val independent : Label.t -> Label.t -> bool
   (** The static independence relation underlying the POR layer: labels

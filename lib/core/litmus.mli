@@ -60,5 +60,4 @@ val pp_events : Label.t list Fmt.t
 val pp_decided : (t * verdict) Fmt.t
 (** Render a row for an already-computed verdict. *)
 
-val pp_result : t Fmt.t
 val pp_table : t list Fmt.t

@@ -57,8 +57,6 @@ let is_non_volatile sys i = not (is_volatile sys i)
 (** All machine ids of a system, in order. *)
 let ids sys = List.init (n_machines sys) Fun.id
 
-let pp_id ppf i = Fmt.pf ppf "M%d" (i + 1)
-
 let pp_spec ppf s = Fmt.pf ppf "%s(%a)" s.name pp_persistence s.persistence
 
 let pp_system ppf sys =

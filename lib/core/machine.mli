@@ -13,8 +13,6 @@ type persistence =
   | Volatile      (** contents lost on crash (re-initialised to 0) *)
   | Non_volatile  (** contents survive crashes *)
 
-val pp_persistence : persistence Fmt.t
-
 type spec = {
   name : string;  (** human-readable label, e.g. ["M1"] *)
   persistence : persistence;
@@ -45,8 +43,4 @@ val is_non_volatile : system -> id -> bool
 val ids : system -> id list
 (** All machine ids, in order. *)
 
-val pp_id : id Fmt.t
-(** Prints 1-based, as the paper does: machine 0 is ["M1"]. *)
-
-val pp_spec : spec Fmt.t
 val pp_system : system Fmt.t

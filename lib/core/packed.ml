@@ -289,9 +289,6 @@ let taus_iter_loc ctx (c : t) f =
     end
   done
 
-(** [taus_iter ctx c f] — {!taus_iter_loc} without the location tag. *)
-let taus_iter ctx (c : t) f = taus_iter_loc ctx c (fun _ s -> f s)
-
 (** [apply ctx c l] — packed mirror of {!Semantics.apply}: the successor
     under label [l], or [None] when [l] is not enabled. *)
 let apply ctx (c : t) (l : Label.t) : t option =

@@ -78,9 +78,6 @@ val holders : ctx -> int -> int
 val cval : ctx -> int -> Value.t
 (** Cached value of a packed word (0 when no holders). *)
 
-val memv : ctx -> int -> Value.t
-(** Memory value of a packed word. *)
-
 val word : ctx -> holders:int -> cval:Value.t -> mem:Value.t -> int
 
 (** {1 Step rules (packed mirror of {!Semantics})} *)
@@ -91,12 +88,9 @@ val load : ctx -> t -> Machine.id -> int -> Value.t * t
 
 val crash : ctx -> t -> Machine.id -> t
 
-val taus_iter : ctx -> t -> (t -> unit) -> unit
-(** Apply the callback to every τ-successor (both propagation rules,
-    every enabled instance; duplicates possible). *)
-
 val taus_iter_loc : ctx -> t -> (int -> t -> unit) -> unit
-(** Like {!taus_iter}, but each successor is tagged with the dense
+(** Apply the callback to every τ-successor (both propagation rules,
+    every enabled instance; duplicates possible), tagged with the dense
     index of the single location its τ-step touches — the conflict
     class of the step (τ-steps on distinct locations always commute). *)
 

@@ -67,10 +67,8 @@ let map_items ?jobs ?chunk ~(init : unit -> 'w) ~(f : 'w -> 'a -> 'b)
     (a : 'a array) : 'b array =
   map_chunked ?jobs ?chunk (Array.length a) ~init ~f:(fun w i -> f w a.(i))
 
-(** [map_array ?jobs f a] — parallel [Array.map], order-preserving. *)
-let map_array ?jobs f a =
-  map_items ?jobs ~init:(fun () -> ()) ~f:(fun () x -> f x) a
-
 (** [map_list ?jobs f l] — parallel [List.map], order-preserving. *)
 let map_list ?jobs f l =
-  Array.to_list (map_array ?jobs f (Array.of_list l))
+  Array.to_list
+    (map_items ?jobs ~init:(fun () -> ()) ~f:(fun () x -> f x)
+       (Array.of_list l))

@@ -26,7 +26,6 @@ type item = {
 
 val all_machines : owner:Machine.id -> n:int -> Machine.id list
 val non_owners : owner:Machine.id -> n:int -> Machine.id list
-val owner_only : owner:Machine.id -> n:int -> Machine.id list
 
 val items : item list
 (** The eight items, in the paper's order and numbering. *)
@@ -51,15 +50,6 @@ val check_item :
   vals:Value.t list -> failure option
 (** Check one item from one configuration over all instantiations with
     the reference engine; first failure if any. *)
-
-val check_item_packed :
-  Explore.Fast.cache -> item -> Packed.t -> locs:Loc.t list ->
-  vals:Value.t list -> failure option
-(** Same check on the packed engine, sharing the cache's τ-successor
-    memo; with an unreduced cache, reports the identical first failure.
-    With a sym-reducing cache each instantiation's two runs share one
-    stabilizer group, so the pass/fail verdict is still exact (the
-    reported witness is then canonical up to symmetry). *)
 
 (** {1 Configuration enumeration}
 

@@ -119,7 +119,7 @@ type t = {
   lat_atomic_extra : int;
   cost_rc : int array;  (** remote-cache crossing, surcharge folded in *)
   cost_rm : int array;  (** remote-memory crossing, surcharge folded in *)
-  mutable rng : Random.State.t;
+  rng : Random.State.t;
   mutable evict_prob : float;  (** chance of spontaneous eviction per tick *)
   faults : Faults.t option;
       (** the RAS fault plan, if one was attached at creation.  [None]
@@ -145,12 +145,13 @@ let max_machines = 62
 
 (* "M1" .. "M62", built once: machine names are per-fabric-creation
    otherwise, and fabric creation is on the fuzz campaign's per-cell
-   path. *)
+   path.  Built eagerly at module initialisation: a global lazy forced
+   by two campaign domains at once raises [CamlinternalLazy.Undefined]. *)
 let default_names =
-  lazy (Array.init max_machines (fun i -> Printf.sprintf "M%d" (i + 1)))
+  Array.init max_machines (fun i -> Printf.sprintf "M%d" (i + 1))
 
 let default_name i =
-  if i >= 0 && i < max_machines then (Lazy.force default_names).(i)
+  if i >= 0 && i < max_machines then default_names.(i)
   else Printf.sprintf "M%d" (i + 1)
 
 let create ?(model = Latency.default) ?topology ?(seed = 0)
@@ -229,7 +230,6 @@ let set_evict_prob t p =
   check_prob "Fabric.set_evict_prob" p;
   t.evict_prob <- p
 
-let reseed t seed = t.rng <- Random.State.make [| seed |]
 let faults t = t.faults
 let tracer t = t.tracer
 

@@ -122,7 +122,6 @@ let create ctx ?(pflag = true) ?(shards = 4) ?buckets ?(replicas = 1)
   t
 
 let n_shards t = Array.length t.shards
-let n_replicas t = t.replicas
 let failovers t = t.failovers
 let rejoins t = t.rejoins
 let timed_out t = t.timed_out
@@ -642,8 +641,7 @@ let map_op (r : Traffic.request) =
   | Traffic.Update | Traffic.Insert ->
       ("put", [ r.Traffic.key + 1; r.Traffic.value ])
 
-let serve ?tracer ?jobs (c : serve_config) : serve_result =
-  ignore jobs;
+let serve ?tracer (c : serve_config) : serve_result =
   (match Traffic.validate c.traffic with
   | Ok () -> ()
   | Error m -> invalid_arg ("Kv.serve: " ^ m));
@@ -904,8 +902,8 @@ let serve ?tracer ?jobs (c : serve_config) : serve_result =
       (if total = 0 then 1.0 else float_of_int total_served /. float_of_int total);
   }
 
-let check ?jobs (c : serve_config) : Lincheck.Durable.verdict =
-  let r = serve ?jobs { c with record_history = true } in
+let check (c : serve_config) (r : serve_result) : Lincheck.Durable.verdict =
+  if not c.record_history then invalid_arg "Kv.check: history not recorded";
   Lincheck.Durable.check
     ~provenance:
       (Printf.sprintf "kv/%s shards=%d%s %s"

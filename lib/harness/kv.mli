@@ -69,7 +69,6 @@ val create :
     non-positive. *)
 
 val n_shards : t -> int
-val n_replicas : t -> int
 
 val failovers : t -> int
 (** Acting-replica changes so far: promotions after a heartbeat timeout
@@ -134,8 +133,9 @@ type serve_result = {
   history : Lincheck.History.t;  (** [[]] unless [record_history] *)
   stats : Fabric.Stats.t;
   cycles : int;                  (** fabric clock when serving finished *)
-  served : int array;            (** completions, indexed by {!op_index} *)
-  latencies : Obs.Hist.t array;  (** completion − arrival, by {!op_index} *)
+  served : int array;
+      (** completions, indexed [Read] = 0, [Update] = 1, [Insert] = 2 *)
+  latencies : Obs.Hist.t array;  (** completion − arrival, same index *)
   faulted : int;       (** ops aborted by a RAS fault past the retry policy *)
   timed_out : int;     (** requests that exhausted their deadline budget *)
   dropped : int;       (** requests lost to crashes / never claimed *)
@@ -144,11 +144,7 @@ type serve_result = {
   availability : float;  (** served / offered, in [0, 1] *)
 }
 
-val op_index : Traffic.op_type -> int
-(** [Read] = 0, [Update] = 1, [Insert] = 2 — the index into [served]
-    and [latencies]. *)
-
-val serve : ?tracer:Obs.Tracer.t -> ?jobs:int -> serve_config -> serve_result
+val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
 (** Run the service: preload the keyspace, spawn [servers_per_machine]
     serving threads on every up machine, drain the {!Traffic.stream}
     schedule open-loop (a server ahead of schedule advances the fabric
@@ -158,11 +154,12 @@ val serve : ?tracer:Obs.Tracer.t -> ?jobs:int -> serve_config -> serve_result
     get fresh serving threads, and — when replicated — a healer fibre
     that re-syncs the replicas homed there), and return throughput
     counters, per-op-type latency histograms, failover counts and
-    availability.  Deterministic in the config; [jobs] is accepted for
-    compatibility and ignored (the schedule never depended on it).
+    availability.  Deterministic in the config; recording the history
+    does not change the run.
     @raise Invalid_argument when the traffic spec fails
     {!Traffic.validate} or [replicas] is out of range. *)
 
-val check : ?jobs:int -> serve_config -> Lincheck.Durable.verdict
-(** {!serve} with history recording forced on, then the durability
-    checker against the map spec. *)
+val check : serve_config -> serve_result -> Lincheck.Durable.verdict
+(** [check c r] — the durability checker against the map spec on the
+    history of [r = serve c].
+    @raise Invalid_argument when [c.record_history] is off. *)

@@ -5,9 +5,9 @@
     Historically this machinery lived inside {!Workload}, fused to the
     closed-loop "n workers × k random ops" shape.  The serving engine
     ({!Kv.serve}) needs the same wiring under open-loop session traffic,
-    so the shared pieces moved here; {!Workload} keeps its exact public
-    surface (its types are re-export equations of these) and its runs
-    stay byte-identical — the corpus replay gate pins that.
+    so the shared pieces moved here.  This module alone names the
+    crash/fault vocabulary; {!Workload} and {!Kv} use it directly, and
+    their runs stay byte-identical — the corpus replay gate pins that.
 
     Everything here derives its randomness from [env.seed] with the same
     formulas the pre-split {!Workload} used (fault plan seed
@@ -76,7 +76,7 @@ let build_faults (e : env) : Fabric.Faults.t option =
 (** [build_fabric e] — the fabric of a run: [n_machines] machines with
     [cache_capacity]-line caches, the home's memory volatile iff
     [volatile_home], seeded eviction noise, and (iff [faults <> []]) the
-    RAS plan of {!build_faults}. *)
+    RAS plan of [build_faults]. *)
 let build_fabric ?tracer (e : env) : Fabric.t =
   Fabric.create ~seed:e.seed ~evict_prob:e.evict_prob ?faults:(build_faults e)
     ?tracer
@@ -112,7 +112,7 @@ let install_crash_plan sched (e : env)
 (** [install_fault_plan sched e] — register [e]'s scheduled fault
     actions: each [Poison_at] poisons a location at its step ([loc_seed]
     reduced modulo the locations allocated by then; nothing to poison →
-    no-op).  Standing link faults need no action — {!build_faults}
+    no-op).  Standing link faults need no action — [build_faults]
     configured them into the fabric's plan. *)
 let install_fault_plan sched (e : env) =
   List.iter

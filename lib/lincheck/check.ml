@@ -120,10 +120,3 @@ let linearizable (module M : Spec.S) (ops : History.op list) :
     Ok { ok = false; witness = []; explored = !explored }
   with Found w -> Ok { ok = true; witness = w; explored = !explored }
   end
-
-let pp_witness ppf w =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(
-      list ~sep:cut (fun ppf (o, r) ->
-          Fmt.pf ppf "%a := %d" History.pp_op o r))
-    w

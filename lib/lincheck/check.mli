@@ -28,5 +28,3 @@ val linearizable : Spec.t -> History.op list -> (outcome, error) result
     linearizability (Remark 1: the crash-free projection with the
     unmodified happens-before order).  [Error] iff the history has more
     than {!max_ops} operations. *)
-
-val pp_witness : (History.op * int) list Fmt.t

@@ -14,14 +14,10 @@ type res = Ret of int | Corrupt | Faulted
     the runtime's retry policy; the checkers treat it as pending (the op
     may have taken partial effect, like an op cut by a crash). *)
 
-val pp_res : res Fmt.t
-
 type event =
   | Inv of { tid : int; op : string; args : int list }
   | Res of { tid : int; ret : res }
   | Crash of { machine : int }
-
-val pp_event : event Fmt.t
 
 type t = event list
 (** In real-time order. *)
@@ -45,7 +41,6 @@ val ret_int : op -> int option
 (** The integer result of a completed op; [None] if pending or corrupt. *)
 
 val is_corrupt : op -> bool
-val is_faulted : op -> bool
 
 val demote_faulted : op list -> op list
 (** Rewrite every [Faulted] op as pending (no result, no response time)

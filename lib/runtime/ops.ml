@@ -109,15 +109,6 @@ let cas_result (ctx : Sched.ctx) x ~expected ~desired ~kind =
   protect ctx (fun () ->
       Fabric.cas_result ctx.fab ctx.machine x ~expected ~desired ~kind)
 
-let store_result ctx (kind : Cxl0.Label.store_kind) x v =
-  match kind with
-  | L -> lstore_result ctx x v
-  | R -> rstore_result ctx x v
-  | M -> mstore_result ctx x v
-
-let flush_result ctx (kind : Cxl0.Label.flush_kind) x =
-  match kind with LF -> lflush_result ctx x | RF -> rflush_result ctx x
-
 (* The plain primitives take a fabric-level fast path when no fault plan
    is attached: call the un-faultable fabric primitive directly and
    yield.  Same fabric effects and the same single scheduling point as

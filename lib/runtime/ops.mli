@@ -34,14 +34,6 @@ val cas_result :
   Sched.ctx -> loc -> expected:int -> desired:int ->
   kind:Cxl0.Label.store_kind -> (bool, Fabric.Faults.fault) result
 
-val store_result :
-  Sched.ctx -> Cxl0.Label.store_kind -> loc -> int ->
-  (unit, Fabric.Faults.fault) result
-
-val flush_result :
-  Sched.ctx -> Cxl0.Label.flush_kind -> loc ->
-  (unit, Fabric.Faults.fault) result
-
 (** {1 Plain primitives} *)
 
 val load : Sched.ctx -> loc -> int

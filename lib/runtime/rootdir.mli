@@ -27,6 +27,3 @@ val lookup : t -> Sched.ctx -> name:string -> Fabric.loc option
 
 val names_used : t -> Sched.ctx -> int
 
-val hash_name : string -> int
-(** The positive, non-zero name hash used for slot keys (exposed for
-    tests). *)

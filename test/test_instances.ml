@@ -19,6 +19,7 @@ module F = Fabric
 module S = Runtime.Sched
 module FI = Flit.Flit_intf
 module W = Harness.Workload
+module R = Harness.Runcore
 module O = Harness.Objects
 
 let run_thread fab body =
@@ -99,7 +100,7 @@ let crashing_config transform =
     crashes =
       [
         {
-          W.at = 14;
+          R.at = 14;
           machine = 2;
           restart_at = 22;
           recovery_threads = 1;

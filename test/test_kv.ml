@@ -1,5 +1,5 @@
 (* The sharded KV service and its open-loop serving engine: shard
-   spread, request accounting, run-twice and cross-jobs determinism,
+   spread, request accounting, run-twice determinism,
    queueing visibility (open-loop latency grows under overload), crash
    behaviour, and end-to-end durability of small serving runs. *)
 
@@ -58,6 +58,11 @@ let fingerprint (r : K.serve_result) =
     Obs.Hist.pp
     r.K.latencies.(2)
 
+(* serve with history recording on, then check that history *)
+let serve_and_check c =
+  let c = { c with K.record_history = true } in
+  K.check c (K.serve c)
+
 let test_serve_accounting () =
   let r = K.serve (config ()) in
   let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
@@ -74,10 +79,8 @@ let test_serve_accounting () =
   Alcotest.(check bool) "clock advanced" true (r.K.cycles > 0)
 
 let test_serve_deterministic () =
-  let a = K.serve ~jobs:1 (config ()) and b = K.serve ~jobs:1 (config ()) in
+  let a = K.serve (config ()) and b = K.serve (config ()) in
   Alcotest.(check string) "run-twice identical" (fingerprint a) (fingerprint b);
-  let c = K.serve ~jobs:4 (config ()) in
-  Alcotest.(check string) "jobs-independent" (fingerprint a) (fingerprint c);
   let d =
     K.serve { (config ()) with K.traffic = { small_traffic with T.seed = 4 } }
   in
@@ -133,7 +136,9 @@ let test_serve_history_checked () =
   in
   List.iter
     (fun transform ->
-      let v = K.check (config ~traffic ~crashes ~faults ~transform ()) in
+      let v =
+        serve_and_check (config ~traffic ~crashes ~faults ~transform ())
+      in
       Alcotest.(check bool)
         (Fmt.str "%s durable" (Flit.Flit_intf.name transform))
         true v.Lincheck.Durable.durable;
@@ -189,7 +194,7 @@ let test_replicated_quiet () =
   Alcotest.(check int) "no timeouts" 0 r.K.timed_out;
   Alcotest.(check int) "no failovers" 0 r.K.failovers;
   Alcotest.(check (float 0.0)) "availability 1" 1.0 r.K.availability;
-  let v = K.check (rconfig ()) in
+  let v = serve_and_check (rconfig ()) in
   Alcotest.(check bool) "durable" true v.Lincheck.Durable.durable
 
 let test_unreplicated_unchanged () =
@@ -224,7 +229,8 @@ let test_storm_durable () =
   List.iter
     (fun transform ->
       let v =
-        K.check (rconfig ~transform ~crashes:(storm ()) ~faults:degraded ())
+        serve_and_check
+          (rconfig ~transform ~crashes:(storm ()) ~faults:degraded ())
       in
       Alcotest.(check bool)
         (Fmt.str "%s durable under storm" (Flit.Flit_intf.name transform))
@@ -234,13 +240,23 @@ let test_storm_durable () =
     [ Flit.Registry.alg2_mstore; Flit.Registry.alg3'_weakest ]
 
 let test_storm_deterministic () =
+  (* run twice, and once more with history recording on: recording must
+     not perturb the run, since cxl0_kv --check checks the history of the
+     run it printed *)
   let fp r =
-    Fmt.str "%s to=%d fo=%d rj=%d" (fingerprint r) r.K.timed_out r.K.failovers
-      r.K.rejoins
+    Fmt.str "%s to=%d fo=%d rj=%d hists=%s stats=%s" (fingerprint r)
+      r.K.timed_out r.K.failovers r.K.rejoins
+      (String.concat "/"
+         (Array.to_list (Array.map Bench_util.hist_sig r.K.latencies)))
+      (Fabric.Stats.to_json r.K.stats)
   in
-  let a = K.serve (rconfig ~crashes:(storm ()) ~faults:degraded ()) in
-  let b = K.serve (rconfig ~crashes:(storm ()) ~faults:degraded ()) in
-  Alcotest.(check string) "storm run-twice identical" (fp a) (fp b)
+  let c = rconfig ~crashes:(storm ()) ~faults:degraded () in
+  let a = K.serve c in
+  let b = K.serve c in
+  Alcotest.(check string) "storm run-twice identical" (fp a) (fp b);
+  let recorded = K.serve { c with K.record_history = true } in
+  Alcotest.(check bool) "history recorded" true (recorded.K.history <> []);
+  Alcotest.(check string) "recording history is inert" (fp a) (fp recorded)
 
 let test_recovery_interleavings () =
   (* Sched.restart racing the failover machinery: a fast restart lands
@@ -253,7 +269,7 @@ let test_recovery_interleavings () =
         [ { R.at; machine = 2; restart_at; recovery_threads = 0;
             recovery_ops = 0 } ]
       in
-      let v = K.check (rconfig ~crashes ()) in
+      let v = serve_and_check (rconfig ~crashes ()) in
       Alcotest.(check bool)
         (Fmt.str "restart@%d durable" restart_at)
         true v.Lincheck.Durable.durable;
@@ -317,15 +333,18 @@ let test_replica_validation () =
     (Invalid_argument "Kv.serve: rate must be positive") (fun () ->
       ignore
         (K.serve
-           { (config ()) with K.traffic = { small_traffic with T.rate = 0.0 } }))
+           { (config ()) with K.traffic = { small_traffic with T.rate = 0.0 } }));
+  Alcotest.check_raises "check without history"
+    (Invalid_argument "Kv.check: history not recorded") (fun () ->
+      ignore (K.check (config ()) (K.serve (config ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Request tracing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let traced_serve ?jobs ?series c =
+let traced_serve ?series c =
   let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) ?series () in
-  let r = K.serve ~tracer ?jobs c in
+  let r = K.serve ~tracer c in
   (r, tracer)
 
 let stormy () = rconfig ~crashes:(storm ()) ~faults:degraded ()
@@ -417,15 +436,12 @@ let test_span_phase_order () =
     spans
 
 let test_span_determinism () =
-  (* the digest folds into --sig: it must be identical run to run and
-     across --jobs, and unchanged by the tracer being attached *)
-  let digest ?jobs () =
-    let _, tr = traced_serve ?jobs (stormy ()) in
+  (* the digest folds into --sig: it must be identical run to run *)
+  let digest () =
+    let _, tr = traced_serve (stormy ()) in
     Obs.Span.digest (Obs.Span.assemble tr)
   in
-  let a = digest ~jobs:1 () in
-  Alcotest.(check string) "run-twice identical" a (digest ~jobs:1 ());
-  Alcotest.(check string) "jobs-independent" a (digest ~jobs:4 ())
+  Alcotest.(check string) "run-twice identical" (digest ()) (digest ())
 
 let test_tracer_inert_serving () =
   (* attaching a tracer must not perturb the serving run: identical
