@@ -1,9 +1,7 @@
-(** Deterministic-signature helpers shared by the benches and the KV
-    serving CLI.
+(** Deterministic-signature helpers shared by the benches, the KV
+    serving CLI and perfbench.
 
-    Each bench grew its own signature formatting ad hoc (campaign
-    summaries in [campaign.ml], fabric-state lines in [fabric_ops.ml]);
-    they live here once, because the signatures are load-bearing: CI and
+    They live here once because the signatures are load-bearing: CI and
     the cross-[--jobs] checks diff them byte-for-byte, so every producer
     must format identically run to run. *)
 

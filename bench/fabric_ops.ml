@@ -1,6 +1,6 @@
-(* Fabric data-plane microbenchmark: raw primitive dispatch, the batched
-   issue/retire path, eviction-ring pressure, and primitives issued
-   through the effect-handler scheduler.
+(* Fabric data-plane microbenchmark: raw primitive dispatch,
+   eviction-ring pressure, and primitives issued through the
+   effect-handler scheduler.
 
      dune exec bench/fabric_ops.exe -- --ops 1000000
 
@@ -71,20 +71,6 @@ let bench_raw ~ops ~cache_capacity =
   done;
   (Unix.gettimeofday () -. t0, signature f !acc)
 
-(* The scheduler-level op mix shared by the [sched] and [batch8]
-   sections, so their numbers are directly comparable: batching saves
-   the effect perform/resume round-trip and the scheduling point per
-   operation, nothing else. *)
-let sched_mix st k on_load on_lstore on_rflush =
-  for _ = 1 to k do
-    st := lcg !st;
-    let x = (!st lsr 24) land (n_locs - 1) in
-    match (!st lsr 42) land 3 with
-    | 0 | 1 -> on_load x
-    | 2 -> on_lstore x
-    | _ -> on_rflush x
-  done
-
 (* Primitives issued from scheduler tasks one by one: each op pays the
    effect round-trip and a scheduling point, like transformed objects
    do. *)
@@ -101,49 +87,15 @@ let bench_sched ~ops =
          ~name:(Printf.sprintf "b%d" task)
          (fun ctx ->
            let st = ref (lcg (seed + task)) in
-           for _ = 1 to per_task / 16 do
-             sched_mix st 16
-               (fun x -> acc := (!acc * 31) + Runtime.Ops.load ctx x)
-               (fun x -> Runtime.Ops.lstore ctx x (!acc land 0xff))
-               (fun x -> Runtime.Ops.rflush ctx x)
-           done))
-  done;
-  ignore (Runtime.Sched.run sched);
-  (Unix.gettimeofday () -. t0, signature f !acc)
-
-(* The same stream submitted through {!Runtime.Ops.run_batch} in groups
-   of [batch_size]: one scheduling point per batch — the FliT
-   multi-line flush-sweep path. *)
-let bench_batch ~ops ~batch_size =
-  let f = mk ~cache_capacity:16 in
-  let sched = Runtime.Sched.create ~seed f in
-  let n_tasks = 4 in
-  let per_task = ops / n_tasks in
-  let acc = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for task = 0 to n_tasks - 1 do
-    ignore
-      (Runtime.Sched.spawn sched ~machine:(task mod n_machines)
-         ~name:(Printf.sprintf "b%d" task)
-         (fun ctx ->
-           let st = ref (lcg (seed + task)) in
-           let b = F.batch_create ~capacity:batch_size () in
-           let slots = Array.make batch_size (-1) in
-           let n_slots = ref 0 in
-           for _ = 1 to per_task / batch_size do
-             F.batch_clear b;
-             n_slots := 0;
-             let m = ctx.Runtime.Sched.machine in
-             sched_mix st batch_size
-               (fun x ->
-                 slots.(!n_slots) <- F.batch_load b m x;
-                 incr n_slots)
-               (fun x -> F.batch_lstore b m x (!acc land 0xff))
-               (fun x -> F.batch_rflush b m x);
-             Runtime.Ops.run_batch ctx b;
-             for i = 0 to !n_slots - 1 do
-               acc := (!acc * 31) + F.batch_result b slots.(i)
-             done
+           (* rounded down to whole 16-op groups, as in the recorded
+              signatures *)
+           for _ = 1 to per_task / 16 * 16 do
+             st := lcg !st;
+             let x = (!st lsr 24) land (n_locs - 1) in
+             match (!st lsr 42) land 3 with
+             | 0 | 1 -> acc := (!acc * 31) + Runtime.Ops.load ctx x
+             | 2 -> Runtime.Ops.lstore ctx x (!acc land 0xff)
+             | _ -> Runtime.Ops.rflush ctx x
            done))
   done;
   ignore (Runtime.Sched.run sched);
@@ -170,7 +122,6 @@ let () =
   let sections =
     [
       ("raw", fun () -> bench_raw ~ops:!ops ~cache_capacity:16);
-      ("batch8", fun () -> bench_batch ~ops:!ops ~batch_size:8);
       ("evict", fun () -> bench_evict ~ops:!ops);
       ("sched", fun () -> bench_sched ~ops:!ops);
     ]

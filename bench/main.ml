@@ -395,7 +395,7 @@ let e13_topology () =
 (* Times the exhaustive Proposition 1 sweep reduced (sleep-set POR +
    symmetry, the default) against unreduced, checks the failure lists
    are identical, and in [--small] mode additionally against the
-   reference map-set engine; records the result in BENCH_prop1.json.
+   reference map-set engine; prints the result as one JSON line.
    The default domain (3 machines / 3 locations / 2 values — 27 000
    start configurations) takes the reference engine a long time by
    design, so the oracle leg only runs on the 2-location (900
@@ -404,17 +404,6 @@ let prop1_time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (Unix.gettimeofday () -. t0, r)
-
-let prop1_json ~append line =
-  let oc =
-    if append then
-      open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_prop1.json"
-    else open_out "BENCH_prop1.json"
-  in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  %s BENCH_prop1.json@." (if append then "appended to" else "wrote")
 
 let prop1_bench ~small ~jobs () =
   let n = 3 in
@@ -484,22 +473,21 @@ let prop1_bench ~small ~jobs () =
     (float ustats.Cxl0.Props.sweep_states
     /. float (max 1 rstats.Cxl0.Props.sweep_states))
     (seconds_unred /. seconds_red);
-  prop1_json ~append:false
-    (Printf.sprintf
-       "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
-        \"seconds_reduced\": %.3f, \"seconds_unreduced\": %.3f%s, \
-        \"starts_reduced\": %d, \"starts_unreduced\": %d, \
-        \"states_reduced\": %d, \"states_unreduced\": %d, \
-        \"state_ratio\": %.2f, \"failures\": %d }"
-       domain configs jobs seconds_red seconds_unred
-       (match seconds_reference with
-       | None -> ""
-       | Some s -> Printf.sprintf ", \"seconds_reference\": %.3f" s)
-       rstats.Cxl0.Props.sweep_starts ustats.Cxl0.Props.sweep_starts
-       rstats.Cxl0.Props.sweep_states ustats.Cxl0.Props.sweep_states
-       (float ustats.Cxl0.Props.sweep_states
-       /. float (max 1 rstats.Cxl0.Props.sweep_states))
-       (List.length red))
+  Fmt.pr
+    "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
+     \"seconds_reduced\": %.3f, \"seconds_unreduced\": %.3f%s, \
+     \"starts_reduced\": %d, \"starts_unreduced\": %d, \
+     \"states_reduced\": %d, \"states_unreduced\": %d, \
+     \"state_ratio\": %.2f, \"failures\": %d }@."
+    domain configs jobs seconds_red seconds_unred
+    (match seconds_reference with
+    | None -> ""
+    | Some s -> Printf.sprintf ", \"seconds_reference\": %.3f" s)
+    rstats.Cxl0.Props.sweep_starts ustats.Cxl0.Props.sweep_starts
+    rstats.Cxl0.Props.sweep_states ustats.Cxl0.Props.sweep_states
+    (float ustats.Cxl0.Props.sweep_states
+    /. float (max 1 rstats.Cxl0.Props.sweep_states))
+    (List.length red)
 
 (* The first N=4 Proposition 1 sweep: 4 machines / 3 locations /
    2 values — 238 328 start configurations, tractable only with the
@@ -533,13 +521,12 @@ let prop1_n4 ~jobs () =
     Fmt.epr "FATAL: Proposition 1 fails at N=4@.";
     exit 1
   end;
-  prop1_json ~append:true
-    (Printf.sprintf
-       "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
-        \"seconds_reduced\": %.3f, \"starts_reduced\": %d, \
-        \"states_reduced\": %d, \"failures\": %d }"
-       domain configs jobs seconds stats.Cxl0.Props.sweep_starts
-       stats.Cxl0.Props.sweep_states (List.length failures))
+  Fmt.pr
+    "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
+     \"seconds_reduced\": %.3f, \"starts_reduced\": %d, \
+     \"states_reduced\": %d, \"failures\": %d }@."
+    domain configs jobs seconds stats.Cxl0.Props.sweep_starts
+    stats.Cxl0.Props.sweep_states (List.length failures)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-time benches                                          *)

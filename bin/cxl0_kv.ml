@@ -157,7 +157,7 @@ let print_combo transform mix (r : K.serve_result) =
     r.K.latencies
 
 let run sessions ops rate theta keys mixes transforms shards servers machines
-    replicas deadline storm seed crash faults check sig_only trace json label
+    replicas deadline storm seed crash faults check sig_only trace json
     explain_tail timeline window trace_out =
   (* typed argument validation, exit 2 with the offending field named;
      the traffic fields share Traffic.validate with the library so the
@@ -337,14 +337,14 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   | Some file ->
       let oc = open_out file in
       Printf.fprintf oc
-        "{ \"label\": %S, \"seed\": %d, \"sessions\": %d, \
-         \"ops_per_session\": %d, \"rate\": %.1f, \"theta\": %.2f, \
-         \"keys\": %d, \"shards\": %d, \"machines\": %d, \"replicas\": %d, \
-         \"deadline\": %d, \"storm\": %d, \"crash\": %S, \"faults\": %S,\n\
+        "{ \"seed\": %d, \"sessions\": %d, \"ops_per_session\": %d, \
+         \"rate\": %.1f, \"theta\": %.2f, \"keys\": %d, \"shards\": %d, \
+         \"machines\": %d, \"replicas\": %d, \"deadline\": %d, \
+         \"storm\": %d, \"crash\": %S, \"faults\": %S,\n\
          \  \"combos\": [\n\
          %s\n\
          \  ] }\n"
-        label seed sessions ops rate theta keys shards machines replicas
+        seed sessions ops rate theta keys shards machines replicas
         deadline storm crash faults
         (String.concat ",\n"
            (List.map
@@ -357,8 +357,8 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   | Some file ->
       let oc = open_out file in
       Printf.fprintf oc
-        "{ \"label\": %S, \"seed\": %d, \"window\": %d, \"combos\": [\n%s\n] }\n"
-        label seed window
+        "{ \"seed\": %d, \"window\": %d, \"combos\": [\n%s\n] }\n" seed
+        window
         (String.concat ",\n"
            (List.rev_map
               (fun (t, m, s) ->
@@ -507,11 +507,6 @@ let json =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the full sweep results as a JSON document to $(docv).")
 
-let label =
-  Arg.(
-    value & opt string "run"
-    & info [ "label" ] ~docv:"S" ~doc:"Label echoed into JSON output.")
-
 let explain_tail =
   Arg.(
     value & opt int 0
@@ -558,7 +553,7 @@ let cmd =
     Term.(
       const run $ sessions $ ops $ rate $ theta $ keys $ mix $ transform
       $ shards $ servers $ machines $ replicas $ deadline $ storm $ seed
-      $ crash $ faults $ check $ sig_only $ trace $ json $ label
-      $ explain_tail $ timeline $ window $ trace_out)
+      $ crash $ faults $ check $ sig_only $ trace $ json $ explain_tail
+      $ timeline $ window $ trace_out)
 
 let () = exit (Cmd.eval' cmd)

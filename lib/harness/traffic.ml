@@ -1,8 +1,8 @@
 (** Open-loop serving traffic: sessions, arrival schedules, Zipfian
     skew, op mixes.  See the interface for the determinism contract —
     the short version is that every random draw comes from a per-session
-    [Random.State] seeded by [(spec.seed, session)], so neither [~jobs]
-    nor evaluation order can change a byte of the schedule. *)
+    [Random.State] seeded by [(spec.seed, session)], so evaluation order
+    cannot change a byte of the schedule. *)
 
 module Zipf = struct
   (* The YCSB generator (Gray et al., "Quickly generating
@@ -286,10 +286,6 @@ let stream (s : spec) : request Seq.t =
   in
   seq_of !init
 
-let generate ?jobs (s : spec) : request array =
-  (* [jobs] sharded schedule *pregeneration* in the materialising
-     engine; the streaming merge is sequential and jobs-independent by
-     construction, so the parameter survives only for caller compat *)
-  ignore jobs;
+let generate (s : spec) : request array =
   validate_exn ~ctx:"generate" s;
   Array.of_seq (stream s)

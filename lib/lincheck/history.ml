@@ -112,41 +112,34 @@ let well_formed (h : t) =
     ill-formed histories. *)
 let ops (h : t) : op list =
   if not (well_formed h) then invalid_arg "History.ops: ill-formed history";
-  let arr = Array.of_list h in
-  let open_inv : (int, op) Hashtbl.t = Hashtbl.create 8 in
-  let acc = ref [] in
+  (* one slot per invocation, indexed by op id: a response completes its
+     thread's open op in place, so extraction is linear and the slots
+     are already in id order *)
+  let n = List.fold_left (fun n -> function Inv _ -> n + 1 | _ -> n) 0 h in
+  let slots =
+    Array.make n
+      { id = -1; tid = -1; name = ""; args = []; ret = None; inv_at = -1;
+        res_at = None }
+  in
+  let open_inv : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let next_id = ref 0 in
-  Array.iteri
+  List.iteri
     (fun idx ev ->
       match ev with
       | Inv { tid; op; args } ->
-          let o =
-            {
-              id = !next_id;
-              tid;
-              name = op;
-              args;
-              ret = None;
-              inv_at = idx;
-              res_at = None;
-            }
-          in
+          let id = !next_id in
           incr next_id;
-          Hashtbl.replace open_inv tid o;
-          acc := o :: !acc
+          slots.(id) <-
+            { id; tid; name = op; args; ret = None; inv_at = idx;
+              res_at = None };
+          Hashtbl.replace open_inv tid id
       | Res { tid; ret } ->
-          let o = Hashtbl.find open_inv tid in
+          let id = Hashtbl.find open_inv tid in
           Hashtbl.remove open_inv tid;
-          acc :=
-            List.map
-              (fun o' ->
-                if o'.id = o.id then
-                  { o' with ret = Some ret; res_at = Some idx }
-                else o')
-              !acc
+          slots.(id) <- { (slots.(id)) with ret = Some ret; res_at = Some idx }
       | Crash _ -> ())
-    arr;
-  List.sort (fun a b -> compare a.id b.id) !acc
+    h;
+  Array.to_list slots
 
 (** [strip_crashes h] — the crash-free history checked for
     linearizability (the §4.2 definition: a history is durably

@@ -246,6 +246,118 @@ let test_unsynced_write_can_die () =
          | None -> ()));
   ignore (S.run sched2)
 
+(* ------------------------------------------------------------------ *)
+(* Sync sweep pins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Pinned values: they move if [sync]'s scheduling points (one yield
+   per fault-free sweep, one per attempt under a fault plan) or its
+   retry path change. *)
+
+let measure_pin sync_every =
+  let p =
+    Harness.Measure.run
+      {
+        (Harness.Measure.default_config O.Register Flit.Registry.buffered) with
+        Harness.Measure.sync_every;
+      }
+  in
+  Fmt.str "cycles=%d %s" p.Harness.Measure.cycles
+    (Fabric.Stats.to_json p.Harness.Measure.stats)
+
+let test_measure_pins () =
+  Alcotest.(check string) "sync every 1"
+    "cycles=123768 {\"loads_local_cache\":9,\
+      \"loads_remote_cache\":48,\"loads_mem\":254,\"lstores\":289,\
+      \"rstores\":0,\"mstores\":0,\"lflushes\":0,\"rflushes\":338,\
+      \"faas\":0,\"cass\":0,\"evictions_horizontal\":17,\
+      \"evictions_vertical\":0,\"crashes\":0,\"faults_injected\":0,\
+      \"retries\":0,\"degraded_ops\":0,\"cycles\":123768}"
+    (measure_pin 1);
+  Alcotest.(check string) "sync every 8"
+    "cycles=32982 {\"loads_local_cache\":168,\
+      \"loads_remote_cache\":83,\"loads_mem\":60,\"lstores\":289,\
+      \"rstores\":0,\"mstores\":0,\"lflushes\":0,\"rflushes\":67,\
+      \"faas\":0,\"cass\":0,\"evictions_horizontal\":33,\
+      \"evictions_vertical\":1,\"crashes\":0,\"faults_injected\":0,\
+      \"retries\":0,\"degraded_ops\":0,\"cycles\":32982}"
+    (measure_pin 8)
+
+(* Machine 0 buffers stores to eight lines homed on machine 1, then one
+   [sync] sweeps them; a second thread on machine 1 interleaves loads, so
+   the sweep's yields show in the schedule.  After the run, machine 0's
+   cache is dropped: the surviving values are the lines the sweep
+   flushed. *)
+let sweep_pin ?nack () =
+  let faults =
+    Option.map
+      (fun nack_prob ->
+        let p = Fabric.Faults.plan ~seed:11 () in
+        Fabric.Faults.degrade_link p 0 1 ~nack_prob ~delay_prob:0.0
+          ~delay_cycles:0;
+        p)
+      nack
+  in
+  let fab = Fabric.uniform ~seed:5 ~evict_prob:0.0 ?faults 2 in
+  let flit = Flit.Flit_intf.instantiate Flit.Registry.buffered fab in
+  let locs = Fabric.alloc_n fab ~owner:1 8 in
+  let outcome = ref "" in
+  let sched = S.create ~seed:9 fab in
+  ignore
+    (S.spawn sched ~machine:0 ~name:"writer" (fun ctx ->
+         List.iteri
+           (fun i x ->
+             flit.Flit.Flit_intf.shared_store ctx x (i + 1) ~pflag:true)
+           locs;
+         outcome :=
+           match (Option.get flit.Flit.Flit_intf.sync) ctx with
+           | () -> "ok"
+           | exception Runtime.Ops.Fault f ->
+               Fmt.str "fault %a" Fabric.Faults.pp_fault f));
+  ignore
+    (S.spawn sched ~machine:1 ~name:"reader" (fun ctx ->
+         for _ = 1 to 12 do
+           ignore (Runtime.Ops.load ctx (List.hd locs))
+         done));
+  let decisions = S.run sched in
+  let dirty = (Option.get flit.Flit.Flit_intf.dirty_count) () in
+  let stats = Fabric.Stats.to_json (Fabric.stats fab) in
+  Fabric.crash fab 0;
+  Fmt.str "%s decisions=%d dirty=%d persisted=[%a] %s" !outcome decisions
+    dirty
+    Fmt.(list ~sep:(any ",") int)
+    (List.map (Fabric.visible fab) locs)
+    stats
+
+let test_sweep_pins () =
+  Alcotest.(check string) "fault-free"
+    "ok decisions=23 dirty=0 persisted=[1,2,3,4,5,6,7,8] \
+      {\"loads_local_cache\":4,\"loads_remote_cache\":1,\
+      \"loads_mem\":7,\"lstores\":8,\"rstores\":0,\"mstores\":0,\
+      \"lflushes\":0,\"rflushes\":8,\"faas\":0,\"cass\":0,\
+      \"evictions_horizontal\":0,\"evictions_vertical\":0,\
+      \"crashes\":0,\"faults_injected\":0,\"retries\":0,\
+      \"degraded_ops\":0,\"cycles\":2722}"
+    (sweep_pin ());
+  Alcotest.(check string) "NACK-degraded link, retries absorb"
+    "ok decisions=39 dirty=0 persisted=[1,2,3,4,5,6,7,8] \
+      {\"loads_local_cache\":4,\"loads_remote_cache\":1,\
+      \"loads_mem\":7,\"lstores\":8,\"rstores\":0,\"mstores\":0,\
+      \"lflushes\":0,\"rflushes\":8,\"faas\":0,\"cass\":0,\
+      \"evictions_horizontal\":0,\"evictions_vertical\":0,\
+      \"crashes\":0,\"faults_injected\":9,\"retries\":9,\
+      \"degraded_ops\":0,\"cycles\":3133}"
+    (sweep_pin ~nack:0.6 ());
+  Alcotest.(check string) "NACK-degraded link, fault surfaces"
+    "fault nack(M0->M1) decisions=30 dirty=8 persisted=[1,2,0,0,0,\
+      0,0,0] {\"loads_local_cache\":4,\"loads_remote_cache\":1,\
+      \"loads_mem\":7,\"lstores\":8,\"rstores\":0,\"mstores\":0,\
+      \"lflushes\":0,\"rflushes\":2,\"faas\":0,\"cass\":0,\
+      \"evictions_horizontal\":0,\"evictions_vertical\":0,\
+      \"crashes\":0,\"faults_injected\":6,\"retries\":5,\
+      \"degraded_ops\":0,\"cycles\":1555}"
+    (sweep_pin ~nack:0.7 ())
+
 let () =
   Alcotest.run "buffered"
     [
@@ -278,5 +390,7 @@ let () =
             test_sync_upgrades_to_durable;
           Alcotest.test_case "unsynced write can die" `Quick
             test_unsynced_write_can_die;
+          Alcotest.test_case "sync sweep pins" `Quick test_sweep_pins;
+          Alcotest.test_case "measure pins" `Quick test_measure_pins;
         ] );
     ]

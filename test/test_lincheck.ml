@@ -35,7 +35,29 @@ let test_ops_extraction () =
   Alcotest.(check (option int)) "pending" None (History.ret_int o1);
   Alcotest.(check (option int)) "pending tail" None (History.ret_int o2);
   Alcotest.(check bool) "inv order" true
-    (o0.History.inv_at < o1.History.inv_at && o1.History.inv_at < o2.History.inv_at)
+    (o0.History.inv_at < o1.History.inv_at && o1.History.inv_at < o2.History.inv_at);
+  (* interleaved threads: responses out of invocation order, a faulted
+     response, a pending op in the middle of the id order, and a thread
+     reused after its first op completed *)
+  let h =
+    [
+      inv 0 "write" [ 1 ]; inv 1 "write" [ 2 ]; inv 2 "read" []; res 1 0;
+      inv 1 "read" []; History.Res { tid = 0; ret = History.Faulted };
+      crash 1; res 2 2; inv 0 "write" [ 3 ]; res 0 0;
+    ]
+  in
+  let op id tid name args ret inv_at res_at =
+    { History.id; tid; name; args; ret; inv_at; res_at }
+  in
+  Alcotest.(check bool) "interleaved ops, in id order" true
+    (History.ops h
+    = [
+        op 0 0 "write" [ 1 ] (Some History.Faulted) 0 (Some 5);
+        op 1 1 "write" [ 2 ] (Some (History.Ret 0)) 1 (Some 3);
+        op 2 2 "read" [] (Some (History.Ret 2)) 2 (Some 7);
+        op 3 1 "read" [] None 4 None;
+        op 4 0 "write" [ 3 ] (Some (History.Ret 0)) 8 (Some 9);
+      ])
 
 let test_strip_and_count () =
   let h = [ inv 0 "read" []; crash 0; res 0 0; crash 1 ] in
