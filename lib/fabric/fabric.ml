@@ -118,7 +118,9 @@ type t = {
   cost_rc : int array;  (** remote-cache crossing, surcharge folded in *)
   cost_rm : int array;  (** remote-memory crossing, surcharge folded in *)
   rng : Random.State.t;
-  mutable evict_prob : float;  (** chance of spontaneous eviction per tick *)
+  mutable evict_threshold : int;
+      (** [coin_threshold] of the chance of a spontaneous eviction per
+          tick *)
   faults : Faults.t option;
       (** the RAS fault plan, if one was attached at creation.  [None]
           keeps every primitive on the exact pre-fault code path. *)
@@ -138,6 +140,20 @@ let next_uid = Atomic.make 1
 let check_prob name p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "%s: probability %g not in [0,1]" name p)
+
+(* The eviction coin.  [Random.State.float rng 1.0 < p] draws 64 bits,
+   keeps the top 53 as [n] (redrawing on [n = 0]) and compares
+   [n * 2^-53 < p], which for an integer [n] is [n < ceil (p * 2^53)]
+   (scaling by a power of two is exact).  [coin] draws the same bits and
+   makes that int comparison, so it answers the same and leaves the
+   stream in the same state, without boxing the float. *)
+let coin_threshold p = int_of_float (Float.ceil (p *. 0x1p53))
+
+let rec coin rng threshold =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+  in
+  if n = 0 then coin rng threshold else n < threshold
 
 let max_machines = 62
 
@@ -207,7 +223,7 @@ let create ?(model = Latency.default) ?topology ?(seed = 0)
     cost_rc;
     cost_rm;
     rng = Random.State.make [| seed |];
-    evict_prob;
+    evict_threshold = coin_threshold evict_prob;
     faults;
     tracer;
   }
@@ -226,7 +242,7 @@ let n_locs t = t.n_locs
 let is_volatile t i = t.conf.(i).volatile
 let set_evict_prob t p =
   check_prob "Fabric.set_evict_prob" p;
-  t.evict_prob <- p
+  t.evict_threshold <- coin_threshold p
 
 let faults t = t.faults
 let tracer t = t.tracer
@@ -768,7 +784,7 @@ let evict_loc t i x =
     between primitives; this is the runtime counterpart of the formal
     model's τ-steps. *)
 let maybe_evict t =
-  if Random.State.float t.rng 1.0 < t.evict_prob then begin
+  if coin t.rng t.evict_threshold then begin
     let n = t.n_m in
     let start = Random.State.int t.rng n in
     let rec find k =

@@ -187,7 +187,16 @@ val evict_loc : t -> int -> loc -> unit
 val maybe_evict : t -> unit
 (** With probability [evict_prob], evict the oldest line of a random
     caching machine — the runtime counterpart of the formal τ-steps;
-    called by the scheduler between primitives. *)
+    called by the scheduler between primitives.  Allocation-free: the
+    coin is {!coin}. *)
+
+val coin_threshold : float -> int
+(** [coin_threshold p] — the int threshold {!coin} compares against for
+    probability [p] in [\[0,1\]]: [ceil (p * 2^53)]. *)
+
+val coin : Random.State.t -> int -> bool
+(** [coin rng (coin_threshold p)] equals [Random.State.float rng 1.0 < p]
+    and consumes exactly the same draws, without allocating. *)
 
 val drain : t -> unit
 (** Propagate everything into physical memory (fixpoint over all

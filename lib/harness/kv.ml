@@ -693,7 +693,7 @@ let serve ?tracer (c : serve_config) : serve_result =
      shared clock over ops still in flight, billing them phantom
      queueing delay.
 
-     The stall bound: a server that has yielded [stall_limit] times
+     The stall bound: a server that has waited [stall_limit] picks
      without seeing the clock move claims anyway.  In a healthy run the
      clock always moves while anyone is busy (every primitive charges),
      so the bound only fires when a crash killed a busy server — whose
@@ -754,30 +754,46 @@ let serve ?tracer (c : serve_config) : serve_result =
         incr req_timed_out;
         close Obs.Event.P_timeout
   in
+  (* An idle server parks in the scheduler with [ready] as its wake
+     predicate: the claim test above, evaluated once per pick exactly as
+     the old yield-and-recheck loop evaluated it, so the schedule is
+     unchanged.  [ready] is true when there is nothing left to claim (the
+     server then exits) or when the head request may be claimed; a false
+     answer counts one stall — [stalls]/[last_seen] use only the clock
+     read at that pick. *)
   let server kv ctx =
-    let rec loop stalls last_seen =
+    let stalls = ref 0 and last_seen = ref (-1) in
+    let ready () =
       refill ();
+      match !next_req with
+      | None -> true
+      | Some r ->
+          let now = Fabric.cycles fab in
+          if r.Traffic.arrival <= now || !busy = 0 || !stalls >= stall_limit
+          then true
+          else begin
+            stalls := if now = !last_seen then !stalls + 1 else 0;
+            last_seen := now;
+            false
+          end
+    in
+    let rec loop () =
+      if not (ready ()) then Runtime.Sched.wait_until ctx ready;
       match !next_req with
       | None -> ()
       | Some r ->
+          next_req := None;
           let now = Fabric.cycles fab in
-          if r.Traffic.arrival <= now || !busy = 0 || stalls >= stall_limit
-          then begin
-            next_req := None;
-            if now < r.Traffic.arrival then
-              Fabric.charge fab (r.Traffic.arrival - now);
-            busy := !busy + 1;
-            serve_one kv ctx r;
-            busy := !busy - 1;
-            loop 0 (Fabric.cycles fab)
-          end
-          else begin
-            Runtime.Sched.yield ctx;
-            let stalls = if now = last_seen then stalls + 1 else 0 in
-            loop stalls now
-          end
+          if now < r.Traffic.arrival then
+            Fabric.charge fab (r.Traffic.arrival - now);
+          busy := !busy + 1;
+          serve_one kv ctx r;
+          busy := !busy - 1;
+          stalls := 0;
+          last_seen := Fabric.cycles fab;
+          loop ()
     in
-    loop 0 (-1)
+    loop ()
   in
   let spawn_servers s ~machine ~tag kv =
     for r = 0 to c.servers_per_machine - 1 do

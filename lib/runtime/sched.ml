@@ -17,28 +17,41 @@
     identifiers).  Recovery code (spawning replacement threads) is
     expressed as a crash-plan callback.
 
+    There is one way to suspend: {!wait_until} parks the fibre with a
+    wake predicate ({!yield} is the constant-true case).  Drawing a
+    parked task is an ordinary scheduling decision — the step count,
+    the eviction coin, the selection draw and the traced [Switch] are
+    exactly those of any other pick — after which the scheduler
+    evaluates the predicate in place and continues the fibre only if it
+    holds.  A false predicate costs a function call instead of a
+    continue/perform round trip through the fibre, and the schedule is
+    the one a [while not (p ()) do yield ctx done] loop would produce
+    (DESIGN.md decision 12).
+
     The run loop is allocation-free in steady state (DESIGN.md decision
     12): tasks live in a flat array compacted in place (stable, so the
     seeded selection draw sees live tasks in spawn order — exactly the
     set the list-based loop saw), the crash-plan is an array scanned in
-    registration order, and crashed machines are an int bitmask.  Only a
-    suspension allocates (the fresh continuation's one-word wrapper). *)
+    registration order, crashed machines are an int bitmask, and the
+    eviction coin compares raw random bits against an int threshold.
+    Only a suspension allocates: the continuation and its [Parked]
+    wrapper. *)
 
 type ctx = {
   sched : t;
   fab : Fabric.t;
   machine : int;  (** machine this thread runs on *)
   tid : int;      (** globally unique thread id (never reused) *)
+  task : task;    (** the scheduler's record of this thread *)
 }
 
-and status = Done | Suspended of (unit, status) Effect.Deep.continuation
-
-(* What resuming a task means: run its fibre from the start, continue a
-   suspended continuation, or nothing — finished/killed tasks stay
-   [Dead] until the next in-place compaction drops them. *)
+(* What picking a task means: run its fibre from the start, continue a
+   parked continuation once its [wake] predicate holds, or nothing —
+   finished/killed tasks stay [Dead] until the next in-place compaction
+   drops them. *)
 and tstate =
-  | Start of (unit -> status)
-  | Cont of (unit, status) Effect.Deep.continuation
+  | Start of (unit -> unit)
+  | Parked of (unit, unit) Effect.Deep.continuation
   | Dead
 
 and task = {
@@ -46,6 +59,10 @@ and task = {
   task_machine : int;
   name : string;
   mutable state : tstate;
+  mutable wake : unit -> bool;
+      (** a [Parked] task's wake predicate: [always] except inside
+          {!wait_until} (a field rather than an effect payload, so
+          parking allocates no effect block) *)
 }
 
 and action =
@@ -87,9 +104,12 @@ and t = {
           it), read by span phase marks to attribute retry time *)
 }
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Park : unit Effect.t
 
-let dummy_task = { task_tid = -1; task_machine = 0; name = ""; state = Dead }
+let always () = true
+
+let dummy_task =
+  { task_tid = -1; task_machine = 0; name = ""; state = Dead; wake = always }
 let dummy_entry = { pstep = 0; paction = Crash 0; pdone = true }
 
 let create ?(seed = 42) fabric =
@@ -152,22 +172,30 @@ let restart t i =
         (Obs.Event.Restart
            { machine = i; cycle = Fabric.cycles t.fabric; step = t.step })
 
-(* Wrap a thread body as an effect-handled fibre. *)
-let fiber (body : unit -> unit) : unit -> status =
- fun () ->
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> Done);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, status) Effect.Deep.continuation) ->
-                  Suspended k)
-          | _ -> None);
-    }
+(* Wrap a thread body as an effect-handled fibre.  A [Park] stores the
+   continuation in the task and returns to the run loop — unless the
+   task's machine crashed while it ran (a thread can call {!crash_now}
+   directly): the task is then already [Dead] and the continuation is
+   dropped.  The handler is built once per fibre, so a suspension
+   allocates nothing beyond the continuation and its wrapper. *)
+let fiber t task (body : unit -> unit) : unit -> unit =
+  let park =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        if machine_is_up t task.task_machine then task.state <- Parked k)
+  in
+  fun () ->
+    Effect.Deep.match_with body ()
+      {
+        retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Park ->
+                (park : ((a, unit) Effect.Deep.continuation -> unit) option)
+            | _ -> None);
+      }
 
 (** [spawn t ~machine ~name body] creates a thread on [machine]; it will
     start running at some future scheduling decision.  Raises if the
@@ -180,18 +208,28 @@ let spawn t ~machine ~name (body : ctx -> unit) =
       (Printf.sprintf "Sched.spawn: machine %d is crashed" machine);
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  let ctx = { sched = t; fab = t.fabric; machine; tid } in
-  push_task t
-    {
-      task_tid = tid;
-      task_machine = machine;
-      name;
-      state = Start (fiber (fun () -> body ctx));
-    };
+  let task =
+    { task_tid = tid; task_machine = machine; name; state = Dead;
+      wake = always }
+  in
+  let ctx = { sched = t; fab = t.fabric; machine; tid; task } in
+  task.state <- Start (fiber t task (fun () -> body ctx));
+  push_task t task;
   tid
 
-(** [yield ctx] — a scheduling point; every {!Ops} primitive calls this. *)
-let yield _ctx = Effect.perform Yield
+(** [wait_until ctx p] — park the calling fibre until a pick finds [p ()]
+    true.  Always suspends at least once; [p] is evaluated exactly once
+    per later pick of this task, by the scheduler, and must not perform
+    effects or raise. *)
+let wait_until ctx p =
+  ctx.task.wake <- p;
+  Effect.perform Park;
+  ctx.task.wake <- always
+
+(** [yield ctx] — a scheduling point; every {!Ops} primitive calls this.
+    It is [wait_until ctx always], without the two writes: a running
+    fibre's [wake] is always [always]. *)
+let yield _ctx = Effect.perform Park
 
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)], from
     the scheduler's dedicated retry stream (seeded alongside the
@@ -251,7 +289,7 @@ let prune_dead t =
     let task = t.tasks.(r) in
     match task.state with
     | Dead -> ()
-    | Start _ | Cont _ ->
+    | Start _ | Parked _ ->
         if !w <> r then t.tasks.(!w) <- task;
         incr w
   done;
@@ -296,20 +334,17 @@ let run t =
                  machine = chosen.task_machine;
                  cycle = Fabric.cycles t.fabric;
                }));
-      let st = chosen.state in
-      chosen.state <- Dead;
-      (match
-         (match st with
-         | Start f -> f ()
-         | Cont k -> Effect.Deep.continue k ()
-         | Dead -> Done (* unreachable: pruned above *))
-       with
-      | Done -> ()
-      | Suspended k ->
-          (* The task's machine may have crashed while it ran (a thread
-             can call {!crash_now} directly); if so the task is already
-             marked dead — drop the continuation. *)
-          if machine_is_up t chosen.task_machine then chosen.state <- Cont k);
+      (* a running fibre is [Dead] until it parks again ([fiber]) *)
+      (match chosen.state with
+      | Start f ->
+          chosen.state <- Dead;
+          f ()
+      | Parked k ->
+          if chosen.wake () then begin
+            chosen.state <- Dead;
+            Effect.Deep.continue k ()
+          end
+      | Dead -> () (* unreachable: pruned above *));
       loop ()
     end
   in
@@ -319,6 +354,6 @@ let run t =
 let alive t =
   let n = ref 0 in
   for k = 0 to t.n_tasks - 1 do
-    match t.tasks.(k).state with Dead -> () | Start _ | Cont _ -> incr n
+    match t.tasks.(k).state with Dead -> () | Start _ | Parked _ -> incr n
   done;
   !n

@@ -3,7 +3,10 @@
     Threads are OCaml 5 effect-handler fibres; every {!Ops} primitive
     yields, so the (seeded, reproducible) scheduler chooses an
     interleaving at primitive granularity and may trigger spontaneous
-    evictions between steps.  Crashing a machine wipes its fabric state
+    evictions between steps.  A fibre waiting for a condition parks with
+    a wake predicate ({!wait_until}); picking it is the same scheduling
+    decision as picking a yielded fibre, only cheaper when the predicate
+    is still false.  Crashing a machine wipes its fabric state
     and kills its threads mid-operation — the paper's failure model;
     recovery code is expressed as crash-plan callbacks. *)
 
@@ -12,9 +15,10 @@ type ctx = private {
   fab : Fabric.t;
   machine : int;  (** machine this thread runs on *)
   tid : int;      (** globally unique thread id (never reused) *)
+  task : task;    (** the scheduler's record of this thread *)
 }
 
-and status
+and task
 
 and action =
   | Crash of int          (** crash machine [i] *)
@@ -49,8 +53,19 @@ val spawn : t -> machine:int -> name:string -> (ctx -> unit) -> int
 (** Create a thread; it starts at some future scheduling decision.
     Returns its tid.  Raises if the machine is currently crashed. *)
 
+val wait_until : ctx -> (unit -> bool) -> unit
+(** [wait_until ctx p] parks the calling fibre until a scheduling
+    decision picks it and finds [p ()] true, then returns.  It always
+    suspends at least once.  Each pick of the parked fibre is an
+    ordinary scheduling step (step count, eviction coin, selection draw
+    and traced switch included) that evaluates [p] exactly once, so the
+    schedule is byte-identical to [while not (p ()) do yield ctx done]
+    preceded by one [yield ctx].  [p] runs in the scheduler, not in the
+    fibre: it must not perform effects or raise. *)
+
 val yield : ctx -> unit
-(** A scheduling point; every memory primitive calls this. *)
+(** A scheduling point; every memory primitive calls this.  Equal to
+    [wait_until ctx (fun () -> true)]. *)
 
 val jitter : ctx -> int -> int
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)] from

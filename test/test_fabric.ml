@@ -217,6 +217,31 @@ let test_maybe_evict_deterministic () =
   Alcotest.(check (option int)) "left machine 0" None
     (Cxl0.Config.cache_get cfg 0 (F.to_loc f x))
 
+(* The eviction coin must be [Random.State.float s 1.0 < p] in integer
+   form: the same answer from the same draws, leaving the stream where
+   the float draw leaves it.  Every blessed schedule rests on this, so a
+   stdlib [Random] change fails here instead of drifting the corpus. *)
+let test_evict_coin_matches_float () =
+  List.iter
+    (fun p ->
+      let th = F.coin_threshold p in
+      List.iter
+        (fun seed ->
+          let a = Random.State.make [| seed |]
+          and b = Random.State.make [| seed |] in
+          for i = 1 to 2000 do
+            let want = Random.State.float a 1.0 < p in
+            let got = F.coin b th in
+            let next_a = Random.State.bits64 (Random.State.copy a)
+            and next_b = Random.State.bits64 (Random.State.copy b) in
+            if got <> want || next_a <> next_b then
+              Alcotest.failf "p=%g seed=%d draw %d: coin %b float %b%s" p
+                seed i got want
+                (if next_a <> next_b then " (streams diverged)" else "")
+          done)
+        [ 0; 1; 7; 42; 1234567 ])
+    [ 0.0; 0.05; 0.15; 0.5; 1.0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -615,6 +640,27 @@ let test_gc_pressure () =
     (Printf.sprintf "minor words per primitive (%.4f) within budget" per_prim)
     true (per_prim <= 0.5)
 
+(* The scheduler flips the eviction coin on every step, so it must not
+   allocate: a boxed float (or a boxed [Int64] threshold) would cost
+   words on every pick. *)
+let test_coin_no_alloc () =
+  let rng = Random.State.make [| 9 |] in
+  let th = F.coin_threshold 0.05 in
+  let hits = ref 0 in
+  for _ = 1 to 100 do
+    if F.coin rng th then incr hits
+  done;
+  let iters = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    if F.coin rng th then incr hits
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per coin (%.4f) is 0" per_call)
+    true (per_call < 0.001);
+  Alcotest.(check bool) "some heads" true (!hits > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation against the formal semantics                       *)
 (* ------------------------------------------------------------------ *)
@@ -752,6 +798,8 @@ let () =
           Alcotest.test_case "cascade" `Quick test_eviction_cascade_vertical;
           Alcotest.test_case "drain" `Quick test_drain;
           Alcotest.test_case "maybe_evict" `Quick test_maybe_evict_deterministic;
+          Alcotest.test_case "eviction coin = float draw" `Quick
+            test_evict_coin_matches_float;
         ] );
       ( "crash",
         [
@@ -796,6 +844,9 @@ let () =
             test_crash_heals_volatile_owner;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "gc pressure" `Quick test_gc_pressure ] );
+        [
+          Alcotest.test_case "gc pressure" `Quick test_gc_pressure;
+          Alcotest.test_case "eviction coin" `Quick test_coin_no_alloc;
+        ] );
       ("cross-validation", [ QCheck_alcotest.to_alcotest prop_cross_validation ]);
     ]

@@ -239,17 +239,20 @@ let test_storm_durable () =
         (v.Lincheck.Durable.crash_events > 0))
     [ Flit.Registry.alg2_mstore; Flit.Registry.alg3'_weakest ]
 
+(* every counter, the clock, each latency histogram's shape and the
+   fabric stats of one run *)
+let full_fingerprint r =
+  Fmt.str "%s to=%d fo=%d rj=%d hists=%s stats=%s" (fingerprint r)
+    r.K.timed_out r.K.failovers r.K.rejoins
+    (String.concat "/"
+       (Array.to_list (Array.map Bench_util.hist_sig r.K.latencies)))
+    (Fabric.Stats.to_json r.K.stats)
+
 let test_storm_deterministic () =
   (* run twice, and once more with history recording on: recording must
      not perturb the run, since cxl0_kv --check checks the history of the
      run it printed *)
-  let fp r =
-    Fmt.str "%s to=%d fo=%d rj=%d hists=%s stats=%s" (fingerprint r)
-      r.K.timed_out r.K.failovers r.K.rejoins
-      (String.concat "/"
-         (Array.to_list (Array.map Bench_util.hist_sig r.K.latencies)))
-      (Fabric.Stats.to_json r.K.stats)
-  in
+  let fp = full_fingerprint in
   let c = rconfig ~crashes:(storm ()) ~faults:degraded () in
   let a = K.serve c in
   let b = K.serve c in
@@ -484,6 +487,58 @@ let test_series_conservation () =
     (fun i w -> Alcotest.(check int) "contiguous" i w.Obs.Series.index)
     rows
 
+(* ------------------------------------------------------------------ *)
+(* Serving pins                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Pinned values: they move if the servers' idle wait, the claim rule,
+   the scheduler's pick sequence or the failover polls change.  The
+   low-rate run spends most of its picks on idle servers waiting for
+   the next arrival; the storm run on failover polls. *)
+
+let test_low_rate_pin () =
+  let r =
+    K.serve
+      (config
+         ~traffic:
+           { small_traffic with T.sessions = 32; ops_per_session = 8;
+             rate = 0.05 }
+         ())
+  in
+  Alcotest.(check string) "low-rate serve"
+    "served=201/39/16 faulted=0 dropped=0 cycles=9985062 \
+      lat=n=201 mean=672.5 p50=400 p90=2000 p99=2000 \
+      max=2000/n=39 mean=615.9 p50=400 p90=1000 p99=1500 \
+      max=1500/n=16 mean=2274.4 p50=1915 p90=7165 p99=7165 \
+      max=7165 to=0 fo=0 rj=0 hists=n=201 total=135179 p50=400 \
+      p90=2000 p99=2000 max=2000/n=39 total=24019 p50=400 \
+      p90=1000 p99=1500 max=1500/n=16 total=36390 p50=1915 \
+      p90=7165 p99=7165 max=7165 stats={\"loads_local_cache\":0,\
+      \"loads_remote_cache\":0,\"loads_mem\":1169,\"lstores\":0,\
+      \"rstores\":0,\"mstores\":151,\"lflushes\":0,\
+      \"rflushes\":0,\"faas\":0,\"cass\":28,\
+      \"evictions_horizontal\":0,\"evictions_vertical\":0,\
+      \"crashes\":0,\"faults_injected\":0,\"retries\":0,\
+      \"degraded_ops\":0,\"cycles\":9985062}"
+    (full_fingerprint r)
+
+let test_storm_pin () =
+  Alcotest.(check string) "storm serve"
+    "served=7/0/0 faulted=1 dropped=6 cycles=67720 lat=n=7 \
+      mean=37686.3 p50=40982 p90=40982 p99=40982 max=40982/n=0 \
+      mean=0.0 p50=0 p90=0 p99=0 max=0/n=0 mean=0.0 p50=0 p90=0 \
+      p99=0 max=0 to=10 fo=1 rj=1 hists=n=7 total=263804 \
+      p50=40982 p90=40982 p99=40982 max=40982/n=0 total=0 p50=0 \
+      p90=0 p99=0 max=0/n=0 total=0 p50=0 p90=0 p99=0 max=0 \
+      stats={\"loads_local_cache\":0,\"loads_remote_cache\":0,\
+      \"loads_mem\":148,\"lstores\":106,\"rstores\":0,\
+      \"mstores\":0,\"lflushes\":0,\"rflushes\":106,\"faas\":68,\
+      \"cass\":24,\"evictions_horizontal\":7,\
+      \"evictions_vertical\":7,\"crashes\":5,\
+      \"faults_injected\":6,\"retries\":3,\"degraded_ops\":0,\
+      \"cycles\":67720}"
+    (full_fingerprint (K.serve (stormy ())))
+
 let () =
   Alcotest.run "kv"
     [
@@ -534,5 +589,10 @@ let () =
             test_tracer_inert_serving;
           Alcotest.test_case "series conservation" `Quick
             test_series_conservation;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "low-rate serve" `Quick test_low_rate_pin;
+          Alcotest.test_case "storm serve" `Quick test_storm_pin;
         ] );
     ]

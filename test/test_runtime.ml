@@ -523,6 +523,155 @@ let test_rootdir_concurrent_registration () =
            (RD.names_used (Option.get !dir) ctx)));
   ignore (S.run s2)
 
+(* ------------------------------------------------------------------ *)
+(* Parked waits                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A setter bumps [flag] once per store, a waiter waits for
+   [flag >= 8] — parked ([S.wait_until]) or polling (a yield, then
+   [while not (p ()) do S.yield ctx done]) — and a recorder logs [flag]
+   at each of its turns, [-1] marking the waiter's wake-up.  With
+   spontaneous evictions on, any drift in the step count or the RNG
+   stream also moves the fabric stats. *)
+let wait_run ~park seed =
+  let fab = F.uniform ~seed:5 ~evict_prob:0.15 2 in
+  let s = S.create ~seed fab in
+  let flag = ref 0 and calls = ref 0 and log = ref [] in
+  let x = F.alloc fab ~owner:1 in
+  ignore
+    (S.spawn s ~machine:0 ~name:"setter" (fun ctx ->
+         for i = 1 to 12 do
+           O.lstore ctx x i;
+           incr flag
+         done));
+  ignore
+    (S.spawn s ~machine:1 ~name:"waiter" (fun ctx ->
+         let p () =
+           incr calls;
+           !flag >= 8
+         in
+         if park then S.wait_until ctx p
+         else begin
+           S.yield ctx;
+           while not (p ()) do
+             S.yield ctx
+           done
+         end;
+         log := -1 :: !log;
+         ignore (O.load ctx x)));
+  ignore
+    (S.spawn s ~machine:0 ~name:"recorder" (fun ctx ->
+         for _ = 1 to 30 do
+           log := !flag :: !log;
+           S.yield ctx
+         done));
+  let steps = S.run s in
+  ( steps,
+    List.rev !log,
+    F.Stats.to_json (F.stats fab),
+    !calls )
+
+let test_wait_until_matches_polling () =
+  List.iter
+    (fun seed ->
+      let steps_p, log_p, stats_p, calls_p = wait_run ~park:true seed in
+      let steps_y, log_y, stats_y, calls_y = wait_run ~park:false seed in
+      Alcotest.(check int) (Fmt.str "seed %d steps" seed) steps_y steps_p;
+      Alcotest.(check (list int)) (Fmt.str "seed %d pick order" seed) log_y
+        log_p;
+      Alcotest.(check string) (Fmt.str "seed %d stats" seed) stats_y stats_p;
+      Alcotest.(check int) (Fmt.str "seed %d predicate calls" seed) calls_y
+        calls_p;
+      Alcotest.(check bool) (Fmt.str "seed %d waited" seed) true (calls_p > 1))
+    [ 1; 2; 3; 11; 42 ]
+
+let test_wait_until_once_per_pick () =
+  (* every traced switch to the waiter after its first (which starts
+     the fibre) is one pick of the parked task: one predicate call *)
+  let tr = Obs.Tracer.create () in
+  let fab = F.uniform ~seed:5 ~evict_prob:0.0 ~tracer:tr 2 in
+  let s = S.create ~seed:7 fab in
+  let flag = ref 0 and calls = ref 0 in
+  ignore
+    (S.spawn s ~machine:0 ~name:"bumper" (fun ctx ->
+         for _ = 1 to 20 do
+           incr flag;
+           S.yield ctx
+         done));
+  let waiter =
+    S.spawn s ~machine:1 ~name:"waiter" (fun ctx ->
+        S.wait_until ctx (fun () ->
+            incr calls;
+            !flag >= 15))
+  in
+  ignore (S.run s);
+  let picks = ref 0 in
+  Obs.Tracer.iter
+    (function
+      | Obs.Event.Switch { tid; _ } when tid = waiter -> incr picks
+      | _ -> ())
+    tr;
+  Alcotest.(check int) "no ring overwrite" 0 (Obs.Tracer.dropped tr);
+  Alcotest.(check bool) "waited several picks" true (!calls > 1);
+  Alcotest.(check int) "one predicate call per parked pick" (!picks - 1)
+    !calls
+
+let test_wait_until_crash_drops () =
+  (* a parked fibre whose machine crashes is dropped, never resumed and
+     never asked again; the run then ends although its predicate never
+     holds *)
+  let fab = mk_fab () in
+  let s = S.create fab in
+  let calls = ref 0 and calls_at_crash = ref (-1) and resumed = ref false in
+  ignore
+    (S.spawn s ~machine:1 ~name:"waiter" (fun ctx ->
+         S.wait_until ctx (fun () ->
+             incr calls;
+             false);
+         resumed := true));
+  ignore
+    (S.spawn s ~machine:0 ~name:"ticker" (fun ctx ->
+         for _ = 1 to 30 do
+           S.yield ctx
+         done));
+  S.at_step s 10
+    (S.Call
+       (fun s ->
+         calls_at_crash := !calls;
+         S.crash_now s 1));
+  ignore (S.run s);
+  Alcotest.(check bool) "parked before the crash" true (!calls_at_crash > 0);
+  Alcotest.(check bool) "never resumed" false !resumed;
+  Alcotest.(check int) "predicate not called after the crash" !calls_at_crash
+    !calls;
+  Alcotest.(check int) "nothing left" 0 (S.alive s)
+
+let test_alive_counts_parked () =
+  let fab = mk_fab () in
+  let s = S.create fab in
+  let flag = ref false and started = ref false and seen = ref (-1) in
+  ignore
+    (S.spawn s ~machine:0 ~name:"waiter" (fun ctx ->
+         started := true;
+         S.wait_until ctx (fun () -> !flag)));
+  ignore
+    (S.spawn s ~machine:1 ~name:"ticker" (fun ctx ->
+         for _ = 1 to 10 do
+           S.yield ctx
+         done;
+         flag := true));
+  (* plan actions run between picks, when no fibre is executing *)
+  let parked = ref false in
+  S.at_step s 8
+    (S.Call
+       (fun s ->
+         parked := !started;
+         seen := S.alive s));
+  ignore (S.run s);
+  Alcotest.(check bool) "waiter parked by step 8" true !parked;
+  Alcotest.(check int) "parked waiter and yielded ticker" 2 !seen;
+  Alcotest.(check int) "all done" 0 (S.alive s)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -539,6 +688,17 @@ let () =
           Alcotest.test_case "restart + recovery" `Quick
             test_plan_call_and_restart;
           Alcotest.test_case "idle plan fires" `Quick test_plan_fires_when_idle;
+        ] );
+      ( "wait_until",
+        [
+          Alcotest.test_case "same schedule as polling" `Quick
+            test_wait_until_matches_polling;
+          Alcotest.test_case "one predicate call per pick" `Quick
+            test_wait_until_once_per_pick;
+          Alcotest.test_case "crash drops parked fibre" `Quick
+            test_wait_until_crash_drops;
+          Alcotest.test_case "alive counts parked" `Quick
+            test_alive_counts_parked;
         ] );
       ( "crash edges",
         [
