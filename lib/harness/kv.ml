@@ -193,8 +193,13 @@ let mark ctx st phase ~replica ?(t0 = -1) () =
                }))
 
 let count_trusted ctx sh =
-  Array.fold_left (fun a rep -> if trusted ctx sh rep then a + 1 else a) 0
-    sh.reps
+  let c = ref 0 in
+  for j = 0 to Array.length sh.reps - 1 do
+    if trusted ctx sh sh.reps.(j) then incr c
+  done;
+  !c
+
+let all_trusted ctx sh = count_trusted ctx sh = Array.length sh.reps
 
 (* Publish the trusted-replica gauge when a shard's count changed.
    Traced-only, like all span machinery. *)
@@ -221,43 +226,82 @@ let log_push sh k =
   sh.log.(sh.log_len) <- k;
   sh.log_len <- sh.log_len + 1
 
-(* One poll step: yield, and if nothing else moved the clock, charge a
-   heartbeat so failover timeouts make progress even when every fibre is
-   waiting on the same dead shard. *)
-let heartbeat = 16
+(* ------------------------------------------------------------------ *)
+(* Waiting                                                             *)
+(* ------------------------------------------------------------------ *)
 
-let poll_wait ctx =
-  let before = now ctx in
-  Runtime.Sched.yield ctx;
-  if now ctx = before then Fabric.charge ctx.Runtime.Sched.fab heartbeat
+(* A request that cannot proceed (shard lock held, acting replica dark,
+   replica set distrusted) polls: each poll is one scheduling pick, and
+   a poll during which nothing else moved the clock charges a heartbeat,
+   so failover timeouts make progress even when every fibre is waiting
+   on the same dead shard.
 
-(* A poll step that books its elapsed time onto the request's span (lock
-   waits count as queueing; degraded waits as failover-wait).  The
-   elapsed window includes cycles charged by other fibres during the
-   yield — correctly so: that is real time this request spent waiting. *)
-let timed_poll ctx st kind =
-  match st with
-  | None -> poll_wait ctx
-  | Some s ->
-      let t0 = now ctx in
-      poll_wait ctx;
-      let d = now ctx - t0 in
-      (match kind with
-      | `Lock -> s.s_wait_lock <- s.s_wait_lock + d
-      | `Degraded -> s.s_wait_degraded <- s.s_wait_degraded + d)
-
-(* The per-request deadline is accounted in *waiting polls* (each worth
+   The per-request deadline is accounted in *waiting polls* (each worth
    one heartbeat of the cycle budget), not in wall cycles: the open-loop
    engine fast-forwards the shared clock over idle gaps, and an elapsed-
    cycle deadline would expire healthy in-flight requests whenever a
    bored server charged the clock past them.  A request that never waits
    can never time out. *)
+let heartbeat = 16
+
 let patience t = max 1 (t.deadline / heartbeat)
 
+(* One replicated request's waiting state. *)
+type poll = {
+  mutable left : int;      (** waiting polls left (patience) *)
+  mutable since : int;     (** cycle the current poll began *)
+  mutable on_lock : bool;  (** the current poll waits on the shard lock *)
+}
+
+let new_poll t = { left = patience t; since = 0; on_lock = false }
+
+(* Start the request's next poll, spending one unit of patience; false
+   (and nothing spent) once its patience is used up. *)
+let next_poll ctx p ~lock =
+  p.left > 0
+  && begin
+       p.left <- p.left - 1;
+       p.on_lock <- lock;
+       p.since <- now ctx;
+       true
+     end
+
+(* Park the fibre on its current poll.  Each pick of the parked fibre is
+   one poll, run by the scheduler exactly as a yield-and-retry loop
+   would run it up to its next scheduling point (DESIGN.md decision 12),
+   so the schedule is the same: charge the
+   heartbeat if the clock has not moved since the poll began, book the
+   elapsed wait onto the request's span (lock waits count as queueing,
+   the rest as failover-wait; the window includes cycles other fibres
+   charged meanwhile, which is real time this request spent waiting),
+   then run the next attempt's effect-free [head].  [head] returns true
+   when the attempt reaches a fabric primitive or runs out of patience,
+   and otherwise starts the next poll itself ([next_poll]).  The
+   resumed fibre goes on after the failover step [head] ran: it re-tests
+   the lock or the acting replica (same state, same answer) and takes
+   the primitive or raises.  Nothing on this idle path allocates. *)
+let park ctx st p head =
+  Runtime.Sched.wait_until ctx (fun () ->
+      if now ctx = p.since then Fabric.charge ctx.Runtime.Sched.fab heartbeat;
+      (match st with
+      | None -> ()
+      | Some s ->
+          let d = now ctx - p.since in
+          if p.on_lock then s.s_wait_lock <- s.s_wait_lock + d
+          else s.s_wait_degraded <- s.s_wait_degraded + d);
+      head ())
+
+let rec first_servable ctx reps j =
+  if j = Array.length reps then -1
+  else if servable ctx reps.(j) then j
+  else first_servable ctx reps (j + 1)
+
 (* The failover state machine, run lazily at the top of every op on the
-   shard.  All transitions are plain host-state mutations with no
-   scheduling point, so they are atomic under the cooperative
-   scheduler. *)
+   shard and on every failover poll.  All transitions are plain
+   host-state mutations with no scheduling point, so they are atomic
+   under the cooperative scheduler.  Two back-to-back runs are not
+   idempotent (after a promotion the second closes the unavailability
+   window), so a resumed poller never re-runs it. *)
 let step_failover t ctx i sh =
   let n = now ctx in
   if servable ctx sh.reps.(sh.acting) then begin
@@ -289,21 +333,18 @@ let step_failover t ctx i sh =
     if n - sh.down_since >= t.failover_timeout then begin
       (* heartbeat timeout: promote the first servable replica (the
          configured primary wins ties, so re-demotion converges) *)
-      let cand = ref (-1) in
-      Array.iteri
-        (fun j rep -> if !cand < 0 && servable ctx rep then cand := j)
-        sh.reps;
-      if !cand >= 0 then begin
+      let cand = first_servable ctx sh.reps 0 in
+      if cand >= 0 then begin
         emit ctx
           (Obs.Event.Failover
              {
                shard = i;
                from_machine = sh.reps.(sh.acting).r_home;
-               to_machine = sh.reps.(!cand).r_home;
+               to_machine = sh.reps.(cand).r_home;
                cycle = n;
              });
         t.failovers <- t.failovers + 1;
-        sh.acting <- !cand;
+        sh.acting <- cand;
         sh.down_since <- -1
       end
     end
@@ -312,19 +353,35 @@ let step_failover t ctx i sh =
      every replicated op, so crashes show up on the timeline promptly *)
   note_trust t ctx sh
 
-(* Acquire the shard write lock, stealing it when the holder's machine
-   has crashed since acquiring (the holder fibre died without
-   unwinding).  [polls] is the request's remaining waiting budget. *)
-let rec lock_shard ctx sh ~polls ~st =
+(* The shard write lock is free to take: unheld, or held by a machine
+   that has crashed since acquiring (the holder fibre died without
+   unwinding, so the lock is stolen). *)
+let lock_free ctx sh =
+  match sh.lock with None -> true | Some (m, e) -> epoch ctx m > e
+
+(* Acquire the shard write lock, parking on [head] while another fibre
+   holds it; raises {!Unavailable} (not a Kv timeout) once the request's
+   patience is spent.  A resumed fibre re-tests the lock: [head] wakes it
+   only when the lock is free or patience is gone. *)
+let lock_shard ctx sh p st head =
+  if not (lock_free ctx sh) then begin
+    if not (next_poll ctx p ~lock:true) then raise Unavailable;
+    park ctx st p head;
+    if not (lock_free ctx sh) then raise Unavailable
+  end;
   let me = ctx.Runtime.Sched.machine in
-  match sh.lock with
-  | None -> sh.lock <- Some (me, epoch ctx me)
-  | Some (m, e) when epoch ctx m > e -> sh.lock <- Some (me, epoch ctx me)
-  | Some _ ->
-      if !polls <= 0 then raise Unavailable;
-      decr polls;
-      timed_poll ctx st `Lock;
-      lock_shard ctx sh ~polls ~st
+  sh.lock <- Some (me, epoch ctx me)
+
+(* [resync] has nothing to heal: no trusted source, or no up replica
+   that is not trusted. *)
+let resync_idle ctx sh =
+  let src = ref false and tgt = ref false in
+  for j = 0 to Array.length sh.reps - 1 do
+    let rep = sh.reps.(j) in
+    if trusted ctx sh rep then src := true
+    else if up ctx rep.r_home then tgt := true
+  done;
+  not (!src && !tgt)
 
 (* Heal every non-trusted, up replica from a trusted peer: replay the
    write log (each key once, newest first) reading the authoritative
@@ -389,6 +446,24 @@ let apply_op op map ctx =
   | Put (k, v) -> Dstruct.Hmap.put map ctx k v
   | Del k -> Dstruct.Hmap.del map ctx k
 
+(* The write attempt's head on a poll: after a failover wait the failover
+   state machine, then (after either wait) the lock test.  An attempt
+   that would take the lock, find nothing to resync and a replica still
+   distrusted only takes and releases the lock, publishes the trust
+   gauge and polls again: that is decided here without taking the lock
+   (a stolen lock ends free, as after the release).  Out of patience,
+   the fibre resumes and replays the attempt to its timeout. *)
+let write_head t ctx i sh p () =
+  if not p.on_lock then step_failover t ctx i sh;
+  if not (lock_free ctx sh) then not (next_poll ctx p ~lock:true)
+  else if p.left > 0 && resync_idle ctx sh && not (all_trusted ctx sh)
+  then begin
+    sh.lock <- None;
+    note_trust t ctx sh;
+    not (next_poll ctx p ~lock:false)
+  end
+  else true
+
 (* Replicated write: write-all under the shard lock.  An op only
    acknowledges when every replica applied it and none crashed while it
    was in flight, so every acknowledged write lives on all [replicas]
@@ -397,7 +472,8 @@ let apply_op op map ctx =
    acting replica: a value readable at the acting replica is already
    everywhere, so promotion can never un-publish an observed value. *)
 let replicated_write t ctx i sh op =
-  let polls = ref (patience t) in
+  let p = new_poll t in
+  let head = write_head t ctx i sh p in
   let st = span_st t ctx in
   (* resync time books as failover-wait, minus any retry backoff charged
      inside it (retry cycles are attributed separately via the fibre's
@@ -413,16 +489,16 @@ let replicated_write t ctx i sh op =
         s.s_wait_degraded <-
           s.s_wait_degraded + (now ctx - t0) - (fibre_retry ctx - r0)
   in
+  (* every attempt after the first starts at the lock test: [write_head]
+     ran the failover step on the poll that resumed it *)
   let rec attempt () =
-    step_failover t ctx i sh;
-    lock_shard ctx sh ~polls ~st;
+    lock_shard ctx sh p st head;
     let decision =
       Fun.protect
         ~finally:(fun () -> sh.lock <- None)
         (fun () ->
           timed_resync ();
-          if not (Array.for_all (fun rep -> trusted ctx sh rep) sh.reps) then
-            `Retry
+          if not (all_trusted ctx sh) then `Retry
           else begin
             let epochs0 =
               Array.map (fun rep -> epoch ctx rep.r_home) sh.reps
@@ -479,15 +555,21 @@ let replicated_write t ctx i sh op =
     | `Ack v -> v
     | `Fault f -> raise (Runtime.Ops.Fault f)
     | `Retry ->
-        if !polls <= 0 then begin
+        if not (next_poll ctx p ~lock:false) then begin
           t.timed_out <- t.timed_out + 1;
           raise Unavailable
         end;
-        decr polls;
-        timed_poll ctx st `Degraded;
+        park ctx st p head;
         attempt ()
   in
+  step_failover t ctx i sh;
   attempt ()
+
+(* The read attempt's head on a poll: the failover step, then the
+   servable test. *)
+let read_head t ctx i sh p () =
+  step_failover t ctx i sh;
+  servable ctx sh.reps.(sh.acting) || not (next_poll ctx p ~lock:false)
 
 (* Replicated read: serve from the acting replica, lock-free.  The only
    hazard is a crash of the acting home *during* the read (the observed
@@ -496,10 +578,9 @@ let replicated_write t ctx i sh op =
    to the acting replica last, so any value visible here is already on
    every backup). *)
 let replicated_read t ctx i sh k =
-  let polls = ref (patience t) in
+  let p = new_poll t in
   let st = span_st t ctx in
   let rec attempt () =
-    step_failover t ctx i sh;
     let rep = sh.reps.(sh.acting) in
     if servable ctx rep then begin
       let e0 = epoch ctx rep.r_home in
@@ -509,14 +590,14 @@ let replicated_read t ctx i sh k =
     end
     else retry ()
   and retry () =
-    if !polls <= 0 then begin
+    if not (next_poll ctx p ~lock:false) then begin
       t.timed_out <- t.timed_out + 1;
       raise Unavailable
     end;
-    decr polls;
-    timed_poll ctx st `Degraded;
+    park ctx st p (read_head t ctx i sh p);
     attempt ()
   in
+  step_failover t ctx i sh;
   attempt ()
 
 (* Opportunistic heal, run from restart recovery hooks: lock each shard
@@ -534,8 +615,11 @@ let heal t ctx =
             sh.reps
         in
         if needs then begin
-          let polls = ref (patience t) in
-          match lock_shard ctx sh ~polls ~st:None with
+          let p = new_poll t in
+          (* heal takes the lock whatever it finds: its poll's head is
+             the lock test alone *)
+          let head () = lock_free ctx sh || not (next_poll ctx p ~lock:true) in
+          match lock_shard ctx sh p None head with
           | () ->
               Fun.protect
                 ~finally:(fun () -> sh.lock <- None)

@@ -101,28 +101,32 @@ module Set_ : Spec.S = struct
   let hash = Hashtbl.hash
 end
 
+(* The map's state: an assoc list sorted by key, keys unique.  [put]
+   inserts in place, building the same list a full sort would.  The
+   step is exposed on the concrete state for the differential test
+   against that sort. *)
+let rec map_put k v = function
+  | (k', _) :: rest when k' = k -> (k, v) :: rest
+  | ((k', _) as b) :: rest when k' < k -> b :: map_put k v rest
+  | s -> (k, v) :: s
+
+let map_step s op args =
+  match (op, args) with
+  | "put", [ k; v ] -> [ (0, map_put k v s) ]
+  | "get", [ k ] ->
+      [ ((match List.assoc_opt k s with Some v -> v | None -> Spec.absent), s) ]
+  | "del", [ k ] ->
+      [ ((if List.mem_assoc k s then 1 else 0), List.remove_assoc k s) ]
+  | _ -> []
+
 (** Key-value map: ["put" [k; v] -> 0], ["get" [k] -> v | absent],
     ["del" [k] -> 1 if present else 0]. *)
 module Map_ : Spec.S = struct
   type state = (int * int) list
-  (* sorted by key, unique keys *)
 
   let name = "map"
   let init = []
-
-  let step s op args =
-    match (op, args) with
-    | "put", [ k; v ] ->
-        [ (0, List.sort compare ((k, v) :: List.remove_assoc k s)) ]
-    | "get", [ k ] ->
-        [ ((match List.assoc_opt k s with Some v -> v | None -> Spec.absent), s) ]
-    | "del", [ k ] ->
-        [
-          ( (if List.mem_assoc k s then 1 else 0),
-            List.remove_assoc k s );
-        ]
-    | _ -> []
-
+  let step = map_step
   let equal = ( = )
   let hash = Hashtbl.hash
 end

@@ -220,7 +220,8 @@ let spawn t ~machine ~name (body : ctx -> unit) =
 (** [wait_until ctx p] — park the calling fibre until a pick finds [p ()]
     true.  Always suspends at least once; [p] is evaluated exactly once
     per later pick of this task, by the scheduler, and must not perform
-    effects or raise. *)
+    effects or raise (it may mutate host state, emit tracer events and
+    charge cycles). *)
 let wait_until ctx p =
   ctx.task.wake <- p;
   Effect.perform Park;

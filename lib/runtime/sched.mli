@@ -61,7 +61,10 @@ val wait_until : ctx -> (unit -> bool) -> unit
     and traced switch included) that evaluates [p] exactly once, so the
     schedule is byte-identical to [while not (p ()) do yield ctx done]
     preceded by one [yield ctx].  [p] runs in the scheduler, not in the
-    fibre: it must not perform effects or raise. *)
+    fibre: it must not perform effects or raise.  It may mutate host
+    state, emit tracer events and {!Fabric.charge} cycles: whatever it
+    does happens at the point of the schedule where the fibre's own code
+    after a [yield] would have done it. *)
 
 val yield : ctx -> unit
 (** A scheduling point; every memory primitive calls this.  Equal to

@@ -539,6 +539,84 @@ let test_storm_pin () =
       \"cycles\":67720}"
     (full_fingerprint (K.serve (stormy ())))
 
+(* The storm's waits: every span's cumulative lock and failover waits,
+   the attribution totals they feed and the windowed timeline of the
+   traced [stormy] run. *)
+let test_storm_spans_pin () =
+  let series = Obs.Series.create ~window:2000 in
+  let _, tr = traced_serve ~series (stormy ()) in
+  let spans = Obs.Span.assemble tr in
+  Alcotest.(check string) "span digest" "24:5ce244ebbd7d"
+    (Obs.Span.digest spans);
+  let attrib = Obs.Attrib.of_spans spans in
+  Alcotest.(check (list (list int)))
+    "attribution totals"
+    [ [ 356322; 25651; 0; 13; 41707 ];
+      [ 139060; 2203; 3493; 11; 30672 ];
+      [ 22476; 0; 0; 0; 8240 ] ]
+    (List.init Obs.Attrib.n_ops (fun op ->
+         Array.to_list (Obs.Attrib.totals attrib ~op)));
+  let rows = Obs.Series.rows series in
+  Alcotest.(check (pair int int))
+    "series rows, crashes" (34, 5)
+    ( List.length rows,
+      List.fold_left (fun a w -> a + w.Obs.Series.crashes) 0 rows );
+  (* every window's counters and gauges: outage lengths (Unavail) and
+     the trusted-replica gauge come from the failover polls *)
+  Alcotest.(check string) "series json"
+    "459aee6404172201e3f5050d891f3f81"
+    (Digest.to_hex (Digest.string (Obs.Series.to_json series)))
+
+(* A storm of longer outages (down 200 of every 450 steps) with a
+   40-poll patience (deadline 640) and 16 sessions: requests run out of
+   patience waiting on a shard lock (Unavailable without a Kv timeout),
+   on a failover read and on a distrusted replica set for a write, and
+   a backup is promoted inside a poll. *)
+let starved () =
+  let traffic =
+    { small_traffic with T.sessions = 16; ops_per_session = 6;
+      mix = T.mix_of_string "50:50:0" }
+  in
+  { (rconfig ~traffic ~crashes:(storm ~gap:450 ~down:200 ()) ~faults:degraded
+       ())
+    with
+    K.deadline = 640 }
+
+let test_starved_pin () =
+  let r = K.serve (starved ()) in
+  Alcotest.(check string) "starved serve"
+    "served=16/0/0 faulted=0 dropped=8 cycles=181600 lat=n=16 \
+      mean=23034.4 p50=30485 p90=30485 p99=30485 max=30485/n=0 \
+      mean=0.0 p50=0 p90=0 p99=0 max=0/n=0 mean=0.0 p50=0 p90=0 \
+      p99=0 max=0 to=72 fo=1 rj=1 hists=n=16 total=368551 \
+      p50=30485 p90=30485 p99=30485 max=30485/n=0 total=0 p50=0 \
+      p90=0 p99=0 max=0/n=0 total=0 p50=0 p90=0 p99=0 max=0 \
+      stats={\"loads_local_cache\":0,\"loads_remote_cache\":0,\
+      \"loads_mem\":198,\"lstores\":78,\"rstores\":0,\
+      \"mstores\":0,\"lflushes\":0,\"rflushes\":78,\"faas\":60,\
+      \"cass\":16,\"evictions_horizontal\":7,\
+      \"evictions_vertical\":8,\"crashes\":5,\
+      \"faults_injected\":8,\"retries\":3,\"degraded_ops\":0,\
+      \"cycles\":181600}"
+    (full_fingerprint r);
+  let series = Obs.Series.create ~window:2000 in
+  let _, tr = traced_serve ~series (starved ()) in
+  let spans = Obs.Span.assemble tr in
+  Alcotest.(check string) "starved span digest" "96:190687791035"
+    (Obs.Span.digest spans);
+  Alcotest.(check string) "starved series json"
+    "3c6cec2dd8b467dc7b768ab4240ee011"
+    (Digest.to_hex (Digest.string (Obs.Series.to_json series)));
+  let last s = List.nth s.Obs.Span.marks (List.length s.Obs.Span.marks - 1) in
+  let timed_out =
+    List.filter (fun s -> Obs.Span.outcome s = Obs.Span.Timed_out) spans
+  in
+  Alcotest.(check int) "timed-out spans" r.K.timed_out (List.length timed_out);
+  Alcotest.(check bool) "a lock wait" true
+    (List.exists (fun s -> (last s).Obs.Span.wait_lock > 0) timed_out);
+  Alcotest.(check bool) "a degraded wait" true
+    (List.exists (fun s -> (last s).Obs.Span.wait_degraded > 0) timed_out)
+
 let () =
   Alcotest.run "kv"
     [
@@ -594,5 +672,7 @@ let () =
         [
           Alcotest.test_case "low-rate serve" `Quick test_low_rate_pin;
           Alcotest.test_case "storm serve" `Quick test_storm_pin;
+          Alcotest.test_case "storm spans" `Quick test_storm_spans_pin;
+          Alcotest.test_case "starved serve" `Quick test_starved_pin;
         ] );
     ]

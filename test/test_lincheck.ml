@@ -107,6 +107,49 @@ let test_spec_conforms () =
          ("get", [ 1 ], Spec.absent); ("del", [ 1 ], 0);
        ])
 
+(* The map spec's step against the full-sort [put] it replaced, on
+   random sorted states and ops: same results, same states, so the
+   checker's search (explored counts, witnesses) cannot move. *)
+let sorted_map_step s op args =
+  match (op, args) with
+  | "put", [ k; v ] ->
+      [ (0, List.sort compare ((k, v) :: List.remove_assoc k s)) ]
+  | "get", [ k ] ->
+      [ ((match List.assoc_opt k s with Some v -> v | None -> Spec.absent), s) ]
+  | "del", [ k ] ->
+      [ ((if List.mem_assoc k s then 1 else 0), List.remove_assoc k s) ]
+  | _ -> []
+
+let prop_map_step_matches_sort =
+  let state =
+    QCheck.Gen.(
+      map
+        (fun kvs ->
+          List.sort_uniq (fun (a, _) (b, _) -> compare a b) kvs)
+        (list_size (int_bound 8) (pair (int_range (-2) 10) small_nat)))
+  in
+  let op =
+    QCheck.Gen.(
+      int_range (-2) 11 >>= fun k ->
+      small_nat >>= fun v ->
+      oneofl [ ("put", [ k; v ]); ("get", [ k ]); ("del", [ k ]) ])
+  in
+  QCheck.Test.make ~name:"map step = full-sort put" ~count:2000
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (list (pair int int)) (list (pair string (list int))))
+       QCheck.Gen.(pair state (list_size (int_bound 10) op)))
+    (fun (s0, ops) ->
+      let rec go s = function
+        | [] -> true
+        | (op, args) :: rest -> (
+            match (Specs.map_step s op args, sorted_map_step s op args) with
+            | [ (r, s') ], [ (r', s'') ] -> r = r' && s' = s'' && go s' rest
+            | _ -> false)
+      in
+      go s0 ops)
+
 let test_absent_constant_agrees () =
   Alcotest.(check int) "dstruct sentinel = spec sentinel" Spec.absent
     Dstruct.Absent.absent
@@ -360,6 +403,7 @@ let () =
           Alcotest.test_case "conforms" `Quick test_spec_conforms;
           Alcotest.test_case "absent constant" `Quick
             test_absent_constant_agrees;
+          QCheck_alcotest.to_alcotest prop_map_step_matches_sort;
         ] );
       ( "linearizable",
         [

@@ -585,6 +585,72 @@ let test_wait_until_matches_polling () =
       Alcotest.(check bool) (Fmt.str "seed %d waited" seed) true (calls_p > 1))
     [ 1; 2; 3; 11; 42 ]
 
+(* A predicate may mutate host state and charge cycles: a heartbeat
+   waiter whose predicate charges 16 cycles whenever the clock did not
+   move since its poll began must behave exactly like the yield loop
+   [let b = now in yield; if now = b then charge 16], re-polled until
+   [flag >= 8].  The recorder logs the clock at each of its turns, so a
+   charge booked at a different pick moves the log. *)
+let heartbeat_run ~park seed =
+  let fab = F.uniform ~seed:5 ~evict_prob:0.15 2 in
+  let s = S.create ~seed fab in
+  let flag = ref 0 and log = ref [] and beats = ref 0 in
+  let x = F.alloc fab ~owner:1 in
+  ignore
+    (S.spawn s ~machine:0 ~name:"setter" (fun ctx ->
+         for i = 1 to 12 do
+           O.lstore ctx x i;
+           incr flag
+         done));
+  ignore
+    (S.spawn s ~machine:1 ~name:"waiter" (fun ctx ->
+         let since = ref (F.cycles fab) in
+         let beat () =
+           if F.cycles fab = !since then begin
+             incr beats;
+             F.charge fab 16
+           end
+         in
+         if park then
+           S.wait_until ctx (fun () ->
+               beat ();
+               !flag >= 8
+               ||
+               (since := F.cycles fab;
+                false))
+         else begin
+           S.yield ctx;
+           beat ();
+           while !flag < 8 do
+             since := F.cycles fab;
+             S.yield ctx;
+             beat ()
+           done
+         end;
+         log := -1 :: !log;
+         ignore (O.load ctx x)));
+  ignore
+    (S.spawn s ~machine:0 ~name:"recorder" (fun ctx ->
+         for _ = 1 to 30 do
+           log := F.cycles fab :: !log;
+           S.yield ctx
+         done));
+  let steps = S.run s in
+  (steps, List.rev !log, F.Stats.to_json (F.stats fab), !beats)
+
+let test_wait_until_charging_predicate () =
+  List.iter
+    (fun seed ->
+      let steps_p, log_p, stats_p, beats_p = heartbeat_run ~park:true seed in
+      let steps_y, log_y, stats_y, beats_y = heartbeat_run ~park:false seed in
+      Alcotest.(check int) (Fmt.str "seed %d steps" seed) steps_y steps_p;
+      Alcotest.(check (list int)) (Fmt.str "seed %d pick order" seed) log_y
+        log_p;
+      Alcotest.(check string) (Fmt.str "seed %d stats" seed) stats_y stats_p;
+      Alcotest.(check int) (Fmt.str "seed %d heartbeats" seed) beats_y beats_p;
+      Alcotest.(check bool) (Fmt.str "seed %d charged" seed) true (beats_p > 0))
+    [ 1; 2; 3; 11; 42 ]
+
 let test_wait_until_once_per_pick () =
   (* every traced switch to the waiter after its first (which starts
      the fibre) is one pick of the parked task: one predicate call *)
@@ -693,6 +759,8 @@ let () =
         [
           Alcotest.test_case "same schedule as polling" `Quick
             test_wait_until_matches_polling;
+          Alcotest.test_case "charging predicate = heartbeat poll" `Quick
+            test_wait_until_charging_predicate;
           Alcotest.test_case "one predicate call per pick" `Quick
             test_wait_until_once_per_pick;
           Alcotest.test_case "crash drops parked fibre" `Quick
